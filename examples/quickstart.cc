@@ -44,8 +44,8 @@ int main() {
   std::printf("\nran %llu instances; %llu drift alarms at:",
               static_cast<unsigned long long>(result.instances),
               static_cast<unsigned long long>(result.drifts));
-  for (uint64_t t : result.drift_positions) {
-    std::printf(" %llu", static_cast<unsigned long long>(t));
+  for (const ccd::DriftAlarm& alarm : result.drift_events) {
+    std::printf(" %llu", static_cast<unsigned long long>(alarm.position));
   }
   std::printf("\n(three drifts are injected, evenly spaced)\n");
   std::printf("final pmAUC=%.3f pmG-mean=%.3f accuracy=%.3f kappa=%.3f\n",

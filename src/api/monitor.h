@@ -85,7 +85,7 @@ class Monitor {
 
   /// Pause/Resume the intake (Feed/Predict); Label() keeps draining
   /// in-flight predictions. Snapshot() of a paused, drained monitor is the
-  /// handoff payload for intra-stream sharding.
+  /// run-state half of a shard handoff (EngineState, eval/engine.h).
   void Pause();
   void Resume();
   bool paused() const;

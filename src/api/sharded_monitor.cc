@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "eval/sharded.h"
 #include "io/snapshot_store.h"
 #include "io/state_codec.h"
 #include "io/wire.h"
@@ -20,7 +19,6 @@ ShardedMonitor::ShardedMonitor(const StreamSchema& schema,
                                std::string detector_name,
                                ParamMap detector_params, uint64_t seed,
                                size_t pending_capacity, int shards,
-                               runtime::RoutingMode mode, uint64_t merge_every,
                                size_t ingress_capacity, ShardedHooks hooks)
     : schema_(schema),
       config_(config),
@@ -30,10 +28,9 @@ ShardedMonitor::ShardedMonitor(const StreamSchema& schema,
       detector_params_(std::move(detector_params)),
       seed_(seed),
       pending_capacity_(pending_capacity),
-      merge_every_(merge_every),
       ingress_capacity_(ingress_capacity),
       hooks_(std::move(hooks)),
-      router_(shards, mode) {
+      router_(shards) {
   // Constructor: the monitor is not published yet, so the analysis (and
   // reality) exempt these guarded writes from the lock discipline.
   shards_.reserve(static_cast<size_t>(shards));
@@ -59,17 +56,14 @@ std::unique_ptr<ShardedMonitor::Shard> ShardedMonitor::MakeShard(
                                  std::move(engine), ingress_capacity_);
 }
 
-size_t ShardedMonitor::DrainIngress(Shard& s) {
+void ShardedMonitor::DrainIngress(Shard& s) {
   // A shipped (paused) shard keeps its entries queued: Feed() on a paused
   // engine throws, and the documented handoff semantics give them to the
   // successor engine instead.
-  if (s.engine->paused()) return 0;
-  size_t drained = 0;
+  if (s.engine->paused()) return;
   while (s.ingress.TryPop(&s.ingress_scratch)) {
     s.engine->Feed(s.ingress_scratch);
-    ++drained;
   }
-  return drained;
 }
 
 EngineHooks ShardedMonitor::MakeShardHooks(int shard) const {
@@ -94,127 +88,48 @@ EngineHooks ShardedMonitor::MakeShardHooks(int shard) const {
   return h;
 }
 
-void ShardedMonitor::RequireMode(runtime::RoutingMode expected,
-                                 const char* operation,
-                                 const char* alternative) const {
-  if (router_.mode() != expected) {
-    throw std::logic_error(std::string("ShardedMonitor: ") + operation +
-                           " requires " + runtime::RoutingModeName(expected) +
-                           " routing, this monitor uses " +
-                           runtime::RoutingModeName(router_.mode()) +
-                           "; use " + alternative + " instead");
-  }
-}
-
 ShardedMonitor::Prediction ShardedMonitor::Predict(
     uint64_t key, const std::vector<double>& features, double weight) {
-  RequireMode(runtime::RoutingMode::kHashKey, "Predict(key, features)",
-              "Predict(features)");
+  runtime::ReaderLock table(&router_.TableMutex());
+  const int slot = router_.RouteKey(key);
+  Shard& s = *shards_[static_cast<size_t>(slot)];
+  runtime::MutexLock lock(&s.mu);
+  DrainIngress(s);
+  MonitorEngine::Ticket t = s.engine->Predict(features, weight);
   Prediction p;
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const int slot = router_.RouteKey(key);
-    Shard& s = *shards_[static_cast<size_t>(slot)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    MonitorEngine::Ticket t = s.engine->Predict(features, weight);
-    p.shard = slot;
-    p.id = t.id;
-    p.label = t.predicted;
-    p.scores = std::move(t.scores);
-  }
-  for (size_t i = 0; i < drained; ++i) NoteCompleted();
+  p.shard = slot;
+  p.id = t.id;
+  p.label = t.predicted;
+  p.scores = std::move(t.scores);
   return p;
 }
 
 void ShardedMonitor::Feed(uint64_t key, const Instance& instance) {
-  RequireMode(runtime::RoutingMode::kHashKey, "Feed(key, instance)",
-              "Feed(instance)");
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const int slot = router_.RouteKey(key);
-    Shard& s = *shards_[static_cast<size_t>(slot)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    s.engine->Feed(instance);
-  }
-  for (size_t i = 0; i < drained + 1; ++i) NoteCompleted();
+  runtime::ReaderLock table(&router_.TableMutex());
+  Shard& s = *shards_[static_cast<size_t>(router_.RouteKey(key))];
+  runtime::MutexLock lock(&s.mu);
+  DrainIngress(s);
+  s.engine->Feed(instance);
 }
 
 bool ShardedMonitor::LabelKey(uint64_t key, uint64_t id, int true_label) {
-  RequireMode(runtime::RoutingMode::kHashKey, "LabelKey(key, id, label)",
-              "Label(shard, id, label)");
-  bool applied;
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const int slot = router_.RouteKey(key);
-    Shard& s = *shards_[static_cast<size_t>(slot)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    applied = s.engine->Label(id, true_label) == LabelOutcome::kApplied;
-  }
-  for (size_t i = 0; i < drained + (applied ? 1u : 0u); ++i) NoteCompleted();
-  return applied;
-}
-
-ShardedMonitor::Prediction ShardedMonitor::Predict(
-    const std::vector<double>& features, double weight) {
-  RequireMode(runtime::RoutingMode::kRoundRobin, "Predict(features)",
-              "Predict(key, features)");
-  Prediction p;
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const int slot = router_.RouteNext();
-    Shard& s = *shards_[static_cast<size_t>(slot)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    MonitorEngine::Ticket t = s.engine->Predict(features, weight);
-    p.shard = slot;
-    p.id = t.id;
-    p.label = t.predicted;
-    p.scores = std::move(t.scores);
-  }
-  for (size_t i = 0; i < drained; ++i) NoteCompleted();
-  return p;
-}
-
-void ShardedMonitor::Feed(const Instance& instance) {
-  RequireMode(runtime::RoutingMode::kRoundRobin, "Feed(instance)",
-              "Feed(key, instance)");
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const int slot = router_.RouteNext();
-    Shard& s = *shards_[static_cast<size_t>(slot)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    s.engine->Feed(instance);
-  }
-  for (size_t i = 0; i < drained + 1; ++i) NoteCompleted();
+  runtime::ReaderLock table(&router_.TableMutex());
+  Shard& s = *shards_[static_cast<size_t>(router_.RouteKey(key))];
+  runtime::MutexLock lock(&s.mu);
+  DrainIngress(s);
+  return s.engine->Label(id, true_label) == LabelOutcome::kApplied;
 }
 
 bool ShardedMonitor::Label(int shard, uint64_t id, int true_label) {
-  bool applied;
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    router_.RequireSlot(shard);
-    Shard& s = *shards_[static_cast<size_t>(shard)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    applied = s.engine->Label(id, true_label) == LabelOutcome::kApplied;
-  }
-  for (size_t i = 0; i < drained + (applied ? 1u : 0u); ++i) NoteCompleted();
-  return applied;
+  runtime::ReaderLock table(&router_.TableMutex());
+  router_.RequireSlot(shard);
+  Shard& s = *shards_[static_cast<size_t>(shard)];
+  runtime::MutexLock lock(&s.mu);
+  DrainIngress(s);
+  return s.engine->Label(id, true_label) == LabelOutcome::kApplied;
 }
 
 bool ShardedMonitor::FeedAsync(uint64_t key, const Instance& instance) {
-  RequireMode(runtime::RoutingMode::kHashKey, "FeedAsync(key, instance)",
-              "Feed(key, instance)");
   runtime::ReaderLock table(&router_.TableMutex());
   const int slot = router_.RouteKey(key);
   Shard& s = *shards_[static_cast<size_t>(slot)];
@@ -224,109 +139,82 @@ bool ShardedMonitor::FeedAsync(uint64_t key, const Instance& instance) {
 void ShardedMonitor::Flush() {
   const int n = router_.slots();
   for (int i = 0; i < n; ++i) {
-    size_t drained;
-    {
-      runtime::ReaderLock table(&router_.TableMutex());
-      Shard& s = *shards_[static_cast<size_t>(i)];
-      runtime::MutexLock lock(&s.mu);
-      drained = DrainIngress(s);
-    }
-    for (size_t k = 0; k < drained; ++k) NoteCompleted();
+    runtime::ReaderLock table(&router_.TableMutex());
+    Shard& s = *shards_[static_cast<size_t>(i)];
+    runtime::MutexLock lock(&s.mu);
+    DrainIngress(s);
   }
 }
 
 void ShardedMonitor::FeedBatch(const std::vector<KeyedInstance>& batch) {
-  RequireMode(runtime::RoutingMode::kHashKey, "FeedBatch(batch)",
-              "Feed(instance) per element");
-  size_t completed = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    // Partition by destination shard; per-shard order follows batch order.
-    std::vector<std::vector<size_t>> by_slot;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const size_t slot =
-          static_cast<size_t>(router_.RouteKey(batch[i].key));
-      if (by_slot.size() <= slot) by_slot.resize(slot + 1);
-      by_slot[slot].push_back(i);
-    }
-    for (size_t slot = 0; slot < by_slot.size(); ++slot) {
-      if (by_slot[slot].empty()) continue;
-      Shard& s = *shards_[slot];
-      runtime::MutexLock lock(&s.mu);
-      completed += DrainIngress(s);
-      for (size_t i : by_slot[slot]) {
-        s.engine->Feed(batch[i].instance);
-        ++completed;
-      }
-    }
+  runtime::ReaderLock table(&router_.TableMutex());
+  // Partition by destination shard; per-shard order follows batch order.
+  std::vector<std::vector<size_t>> by_slot;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const size_t slot = static_cast<size_t>(router_.RouteKey(batch[i].key));
+    if (by_slot.size() <= slot) by_slot.resize(slot + 1);
+    by_slot[slot].push_back(i);
   }
-  for (size_t i = 0; i < completed; ++i) NoteCompleted();
+  for (size_t slot = 0; slot < by_slot.size(); ++slot) {
+    if (by_slot[slot].empty()) continue;
+    Shard& s = *shards_[slot];
+    runtime::MutexLock lock(&s.mu);
+    DrainIngress(s);
+    for (size_t i : by_slot[slot]) s.engine->Feed(batch[i].instance);
+  }
 }
 
 void ShardedMonitor::PredictBatch(const std::vector<KeyedInstance>& batch,
                                   std::vector<Prediction>* out) {
-  RequireMode(runtime::RoutingMode::kHashKey, "PredictBatch(batch, out)",
-              "Predict(key, features) per element");
   out->resize(batch.size());
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    std::vector<std::vector<size_t>> by_slot;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const size_t slot =
-          static_cast<size_t>(router_.RouteKey(batch[i].key));
-      if (by_slot.size() <= slot) by_slot.resize(slot + 1);
-      by_slot[slot].push_back(i);
-    }
-    MonitorEngine::Ticket t;  // Reused across elements.
-    for (size_t slot = 0; slot < by_slot.size(); ++slot) {
-      if (by_slot[slot].empty()) continue;
-      Shard& s = *shards_[slot];
-      runtime::MutexLock lock(&s.mu);
-      drained += DrainIngress(s);
-      for (size_t i : by_slot[slot]) {
-        s.engine->Predict(batch[i].instance.features,
-                          batch[i].instance.weight, &t);
-        Prediction& p = (*out)[i];
-        p.shard = static_cast<int>(slot);
-        p.id = t.id;
-        p.label = t.predicted;
-        p.scores = t.scores;
-      }
+  runtime::ReaderLock table(&router_.TableMutex());
+  std::vector<std::vector<size_t>> by_slot;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const size_t slot = static_cast<size_t>(router_.RouteKey(batch[i].key));
+    if (by_slot.size() <= slot) by_slot.resize(slot + 1);
+    by_slot[slot].push_back(i);
+  }
+  MonitorEngine::Ticket t;  // Reused across elements.
+  for (size_t slot = 0; slot < by_slot.size(); ++slot) {
+    if (by_slot[slot].empty()) continue;
+    Shard& s = *shards_[slot];
+    runtime::MutexLock lock(&s.mu);
+    DrainIngress(s);
+    for (size_t i : by_slot[slot]) {
+      s.engine->Predict(batch[i].instance.features, batch[i].instance.weight,
+                        &t);
+      Prediction& p = (*out)[i];
+      p.shard = static_cast<int>(slot);
+      p.id = t.id;
+      p.label = t.predicted;
+      p.scores = t.scores;
     }
   }
-  for (size_t i = 0; i < drained; ++i) NoteCompleted();
 }
 
 void ShardedMonitor::LabelBatch(const std::vector<ShardLabel>& batch,
                                 std::vector<LabelOutcome>* outcomes) {
   if (outcomes) outcomes->resize(batch.size());
-  size_t completed = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    // Validate every index before applying anything: a bogus shard makes
-    // the whole batch a no-op instead of a half-applied one.
-    for (const ShardLabel& l : batch) router_.RequireSlot(l.shard);
-    std::vector<std::vector<size_t>> by_slot;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const size_t slot = static_cast<size_t>(batch[i].shard);
-      if (by_slot.size() <= slot) by_slot.resize(slot + 1);
-      by_slot[slot].push_back(i);
-    }
-    for (size_t slot = 0; slot < by_slot.size(); ++slot) {
-      if (by_slot[slot].empty()) continue;
-      Shard& s = *shards_[slot];
-      runtime::MutexLock lock(&s.mu);
-      completed += DrainIngress(s);
-      for (size_t i : by_slot[slot]) {
-        const LabelOutcome outcome =
-            s.engine->Label(batch[i].id, batch[i].label);
-        if (outcome == LabelOutcome::kApplied) ++completed;
-        if (outcomes) (*outcomes)[i] = outcome;
-      }
+  runtime::ReaderLock table(&router_.TableMutex());
+  // Validate every index before applying anything: a bogus shard makes
+  // the whole batch a no-op instead of a half-applied one.
+  for (const ShardLabel& l : batch) router_.RequireSlot(l.shard);
+  std::vector<std::vector<size_t>> by_slot;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const size_t slot = static_cast<size_t>(batch[i].shard);
+    if (by_slot.size() <= slot) by_slot.resize(slot + 1);
+    by_slot[slot].push_back(i);
+  }
+  for (size_t slot = 0; slot < by_slot.size(); ++slot) {
+    if (by_slot[slot].empty()) continue;
+    Shard& s = *shards_[slot];
+    runtime::MutexLock lock(&s.mu);
+    DrainIngress(s);
+    for (size_t i : by_slot[slot]) {
+      const LabelOutcome outcome = s.engine->Label(batch[i].id, batch[i].label);
+      if (outcomes) (*outcomes)[i] = outcome;
     }
   }
-  for (size_t i = 0; i < completed; ++i) NoteCompleted();
 }
 
 int ShardedMonitor::AddShard() {
@@ -344,41 +232,36 @@ int ShardedMonitor::AddShard() {
 }
 
 void ShardedMonitor::DrainShard(int shard) {
-  size_t drained = 0;
-  {
-    runtime::WriterLock table(&router_.TableMutex());
-    router_.RequireSlot(shard);
-    Shard& s = *shards_[static_cast<size_t>(shard)];
-    // Under the exclusive table hold no push is in flight, but the slot
-    // lock is still taken (uncontended) so every guarded access happens
-    // under its declared capability.
-    runtime::MutexLock lock(&s.mu);
-    // Queued ingress entries belong to the outgoing engine's history:
-    // apply them before the capture so the handoff is a consistent cut.
-    drained = DrainIngress(s);
-    // Every step that can fail — CaptureEngineState throws for components
-    // without CloneState() — runs before the old shard is touched, so a
-    // failed drain is a no-op (the shard keeps serving), never a shard
-    // bricked in a paused state.
-    EngineState state =
-        CaptureEngineState(*s.engine, *s.classifier, s.detector.get());
-    auto engine = std::make_unique<MonitorEngine>(
-        schema_, state.classifier.get(), state.detector.get(), config_,
-        MakeShardHooks(shard), pending_capacity_);
-    engine->Restore(state.snapshot);  // Also clears any paused state.
-    // The documented drain step. Under the exclusive table lock nothing can
-    // push anyway, but pausing the outgoing engine keeps the handoff
-    // protocol (Pause → state moves → successor serves) explicit and
-    // identical to the intra-stream sharding one.
-    s.engine->Pause();
-    // Commit — no-throw moves: the outgoing engine dies first (it holds raw
-    // pointers into the outgoing components), then the components are
-    // replaced by the clones the replacement engine points into.
-    s.engine = std::move(engine);
-    s.classifier = std::move(state.classifier);
-    s.detector = std::move(state.detector);
-  }
-  for (size_t i = 0; i < drained; ++i) NoteCompleted();
+  runtime::WriterLock table(&router_.TableMutex());
+  router_.RequireSlot(shard);
+  Shard& s = *shards_[static_cast<size_t>(shard)];
+  // Under the exclusive table hold no push is in flight, but the slot
+  // lock is still taken (uncontended) so every guarded access happens
+  // under its declared capability.
+  runtime::MutexLock lock(&s.mu);
+  // Queued ingress entries belong to the outgoing engine's history:
+  // apply them before the capture so the handoff is a consistent cut.
+  DrainIngress(s);
+  // Every step that can fail — CaptureEngineState throws for components
+  // without CloneState() — runs before the old shard is touched, so a
+  // failed drain is a no-op (the shard keeps serving), never a shard
+  // bricked in a paused state.
+  EngineState state =
+      CaptureEngineState(*s.engine, *s.classifier, s.detector.get());
+  auto engine = std::make_unique<MonitorEngine>(
+      schema_, state.classifier.get(), state.detector.get(), config_,
+      MakeShardHooks(shard), pending_capacity_);
+  engine->Restore(state.snapshot);  // Also clears any paused state.
+  // The documented drain step. Under the exclusive table lock nothing can
+  // push anyway, but pausing the outgoing engine keeps the handoff
+  // protocol (Pause → state moves → successor serves) explicit.
+  s.engine->Pause();
+  // Commit — no-throw moves: the outgoing engine dies first (it holds raw
+  // pointers into the outgoing components), then the components are
+  // replaced by the clones the replacement engine points into.
+  s.engine = std::move(engine);
+  s.classifier = std::move(state.classifier);
+  s.detector = std::move(state.detector);
 }
 
 int ShardedMonitor::shards() const { return router_.slots(); }
@@ -389,8 +272,7 @@ ShardedMonitor::ShardedMonitor(
     const StreamSchema& schema, const PrequentialConfig& config,
     std::string classifier_name, ParamMap classifier_params,
     std::string detector_name, ParamMap detector_params, uint64_t seed,
-    size_t pending_capacity, runtime::RoutingMode mode, uint64_t merge_every,
-    size_t ingress_capacity, ShardedHooks hooks, uint64_t completed_total,
+    size_t pending_capacity, size_t ingress_capacity, ShardedHooks hooks,
     uint64_t generation, std::vector<io::StateImage>&& images)
     : schema_(schema),
       config_(config),
@@ -400,11 +282,9 @@ ShardedMonitor::ShardedMonitor(
       detector_params_(std::move(detector_params)),
       seed_(seed),
       pending_capacity_(pending_capacity),
-      merge_every_(merge_every),
       ingress_capacity_(ingress_capacity),
       hooks_(std::move(hooks)),
-      router_(static_cast<int>(images.size()), mode),
-      completed_total_(completed_total),
+      router_(static_cast<int>(images.size())),
       generation_(generation) {
   shards_.reserve(images.size());
   for (size_t i = 0; i < images.size(); ++i) {
@@ -434,20 +314,11 @@ io::StateImage ShardedMonitor::MakeShardImage(int shard) const {
 void ShardedMonitor::Persist(const std::string& directory) {
   runtime::WriterLock table(&router_.TableMutex());
   // Apply queued ingress entries first: the persisted cut must reflect
-  // every accepted FeedAsync (reopened queues start empty). The
-  // merged-metrics cadence hook is not fired from inside the exclusive
-  // persist window — only the counter advances, under NoteCompleted()'s
-  // own enablement guard.
-  {
-    uint64_t drained = 0;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = *shards_[i];
-      runtime::MutexLock lock(&s.mu);
-      drained += DrainIngress(s);
-    }
-    if (merge_every_ != 0 && hooks_.on_merged_metrics) {
-      completed_total_.fetch_add(drained, std::memory_order_relaxed);
-    }
+  // every accepted FeedAsync (reopened queues start empty).
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Shard& s = *shards_[i];
+    runtime::MutexLock lock(&s.mu);
+    DrainIngress(s);
   }
   io::SnapshotStore store(directory);
   const uint64_t next_gen = generation_ + 1;
@@ -461,9 +332,6 @@ void ShardedMonitor::Persist(const std::string& directory) {
   manifest.seed = seed_;
   manifest.config = config_;
   manifest.pending_capacity = pending_capacity_;
-  manifest.mode = static_cast<uint8_t>(router_.mode());
-  manifest.merge_every = merge_every_;
-  manifest.completed_total = completed_total_.load(std::memory_order_relaxed);
   manifest.generation = next_gen;
   manifest.shards.reserve(shards_.size());
 
@@ -537,10 +405,8 @@ ShardedMonitor ShardedMonitor::Open(const std::string& directory,
   return ShardedMonitor(
       m.schema, m.config, m.classifier, ParamMap::Parse(m.classifier_params),
       m.detector, ParamMap::Parse(m.detector_params), m.seed,
-      static_cast<size_t>(m.pending_capacity),
-      static_cast<runtime::RoutingMode>(m.mode), m.merge_every,
-      /*ingress_capacity=*/1024, std::move(hooks), m.completed_total,
-      m.generation, std::move(images));
+      static_cast<size_t>(m.pending_capacity), /*ingress_capacity=*/1024,
+      std::move(hooks), m.generation, std::move(images));
 }
 
 std::string ShardedMonitor::SerializeShard(int shard) const {
@@ -554,25 +420,19 @@ std::string ShardedMonitor::SerializeShard(int shard) const {
 }
 
 std::string ShardedMonitor::ShipShard(int shard) {
-  std::string bytes;
-  size_t drained = 0;
-  {
-    runtime::WriterLock table(&router_.TableMutex());
-    router_.RequireSlot(shard);
-    Shard& s = *shards_[static_cast<size_t>(shard)];
-    runtime::MutexLock lock(&s.mu);
-    // Queued ingress entries must ship with the state — the source pauses
-    // below and would otherwise strand them until a restore.
-    drained = DrainIngress(s);
-    io::StateImage image = MakeShardImage(shard);
-    image.state =
-        CaptureEngineState(*s.engine, *s.classifier, s.detector.get());
-    bytes = io::EncodeStateImage(image);
-    // Capture succeeded — only now stop the source, so a failed ship
-    // leaves the shard serving.
-    s.engine->Pause();
-  }
-  for (size_t i = 0; i < drained; ++i) NoteCompleted();
+  runtime::WriterLock table(&router_.TableMutex());
+  router_.RequireSlot(shard);
+  Shard& s = *shards_[static_cast<size_t>(shard)];
+  runtime::MutexLock lock(&s.mu);
+  // Queued ingress entries must ship with the state — the source pauses
+  // below and would otherwise strand them until a restore.
+  DrainIngress(s);
+  io::StateImage image = MakeShardImage(shard);
+  image.state = CaptureEngineState(*s.engine, *s.classifier, s.detector.get());
+  std::string bytes = io::EncodeStateImage(image);
+  // Capture succeeded — only now stop the source, so a failed ship
+  // leaves the shard serving.
+  s.engine->Pause();
   return bytes;
 }
 
@@ -680,28 +540,6 @@ uint64_t ShardedMonitor::unmatched_labels() const {
       [](const MonitorEngine& e) { return e.unmatched_labels(); });
 }
 
-void ShardedMonitor::NoteCompleted() {
-  if (merge_every_ == 0 || !hooks_.on_merged_metrics) return;
-  const uint64_t n =
-      completed_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n % merge_every_ != 0) return;
-  const std::vector<EngineSnapshot> snapshots = CollectSnapshots();
-  size_t window_total = 0;
-  for (const EngineSnapshot& s : snapshots) window_total += s.window.size();
-  const EngineSnapshot merged = MergeSnapshots(snapshots);
-  MetricsSnapshot m;
-  m.position = merged.position;
-  m.window_size = window_total;
-  if (merged.metric_samples > 0) {
-    const double samples = static_cast<double>(merged.metric_samples);
-    m.pmauc = merged.sum_pmauc / samples;
-    m.pmgm = merged.sum_pmgm / samples;
-    m.accuracy = merged.sum_accuracy / samples;
-    m.kappa = merged.sum_kappa / samples;
-  }
-  hooks_.on_merged_metrics(m);
-}
-
 // -------------------------------------------------- ShardedMonitorBuilder
 
 ShardedMonitorBuilder& ShardedMonitorBuilder::Schema(
@@ -758,16 +596,6 @@ ShardedMonitorBuilder& ShardedMonitorBuilder::Shards(int shards) {
   return *this;
 }
 
-ShardedMonitorBuilder& ShardedMonitorBuilder::Mode(runtime::RoutingMode mode) {
-  mode_ = mode;
-  return *this;
-}
-
-ShardedMonitorBuilder& ShardedMonitorBuilder::MergeEvery(uint64_t n) {
-  merge_every_ = n;
-  return *this;
-}
-
 ShardedMonitorBuilder& ShardedMonitorBuilder::IngressCapacity(size_t capacity) {
   ingress_capacity_ = capacity < 1 ? 1 : capacity;
   return *this;
@@ -789,12 +617,6 @@ ShardedMonitorBuilder& ShardedMonitorBuilder::OnWarning(
 ShardedMonitorBuilder& ShardedMonitorBuilder::OnMetrics(
     std::function<void(int, const MetricsSnapshot&)> callback) {
   hooks_.on_metrics = std::move(callback);
-  return *this;
-}
-
-ShardedMonitorBuilder& ShardedMonitorBuilder::OnMergedMetrics(
-    std::function<void(const MetricsSnapshot&)> callback) {
-  hooks_.on_merged_metrics = std::move(callback);
   return *this;
 }
 
@@ -839,8 +661,8 @@ ShardedMonitor ShardedMonitorBuilder::Build() const {
 
   return ShardedMonitor(schema_, config, classifier_name_, classifier_params_,
                         detector_name_, detector_params_, seed_,
-                        pending_capacity_, shards_, mode_, merge_every_,
-                        ingress_capacity_, hooks_);
+                        pending_capacity_, shards_, ingress_capacity_,
+                        hooks_);
 }
 
 }  // namespace api

@@ -1,7 +1,6 @@
 #ifndef CCD_API_SHARDED_MONITOR_H_
 #define CCD_API_SHARDED_MONITOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -40,10 +39,6 @@ struct ShardedHooks {
       on_warning;
   /// A periodic per-shard metric sample.
   std::function<void(int shard, const MetricsSnapshot&)> on_metrics;
-  /// A periodic *cross-shard* aggregate (every MergeEvery(n) completed
-  /// labels): the EngineState merge of all shards, reported as total
-  /// position, summed window size and sample-weighted lifetime means.
-  std::function<void(const MetricsSnapshot&)> on_merged_metrics;
 };
 
 /// Concurrent serving router: K independent MonitorEngine shards — each
@@ -64,22 +59,18 @@ struct ShardedHooks {
 ///                      })
 ///                      .Build();
 ///
-///   // Hash mode (default): same key -> same shard, always.
+///   // Same key -> same shard, always.
 ///   auto p = monitor.Predict(user_id, features);
 ///   ...
 ///   monitor.Label(p.shard, p.id, observed_outcome);
 ///
-/// Routing modes:
-///  * kHashKey (default) — Predict(key, ...)/Feed(key, ...) route by
-///    runtime::Router::HashKey, so each key's instance sequence is handled
-///    by one engine in push order: per-key streams keep exact prequential
-///    semantics, and a single-threaded run is bit-identical to K
-///    independent api::Monitors fed the key-partitioned substreams
-///    (tests/router_test.cc proves it, multi-threaded included).
-///  * kRoundRobin — unkeyed Predict(...)/Feed(...) cycle over the shards;
-///    per-shard numbers become load-balanced samples of one logical
-///    stream, re-aggregated by Result()/Snapshot() and the periodic
-///    on_merged_metrics EngineState merge.
+/// Routing: Predict(key, ...)/Feed(key, ...) route by
+/// runtime::Router::HashKey, so each key's instance sequence is handled by
+/// one engine in push order: per-key streams keep exact prequential
+/// semantics, and a single-threaded run is bit-identical to K independent
+/// api::Monitors fed the key-partitioned substreams (tests/router_test.cc
+/// proves it, multi-threaded included). Result()/Snapshot() aggregate the
+/// shards through MergedResult()/MergeSnapshots().
 ///
 /// Live resharding — EngineState is the migration payload:
 ///  * DrainShard(i) pauses shard i, captures its complete EngineState
@@ -131,8 +122,6 @@ class ShardedMonitor {
   ShardedMonitor(ShardedMonitor&&) = delete;
   ShardedMonitor& operator=(ShardedMonitor&&) = delete;
 
-  // --- Hash-key mode pushes (throw std::logic_error in round-robin mode).
-
   /// Routes `key` to its shard and scores `features` there.
   Prediction Predict(uint64_t key, const std::vector<double>& features,
                      double weight = 1.0);
@@ -173,19 +162,10 @@ class ShardedMonitor {
   void FeedBatch(const std::vector<KeyedInstance>& batch);
   void PredictBatch(const std::vector<KeyedInstance>& batch,
                     std::vector<Prediction>* out);
-  /// Mode-independent (like Label()). Validates every shard index before
-  /// applying anything (std::out_of_range on a bogus one is a no-op).
+  /// Validates every shard index before applying anything
+  /// (std::out_of_range on a bogus one is a no-op).
   void LabelBatch(const std::vector<ShardLabel>& batch,
                   std::vector<LabelOutcome>* outcomes = nullptr);
-
-  // --- Round-robin mode pushes (throw std::logic_error in hash mode).
-
-  /// Scores `features` on the next shard in rotation.
-  Prediction Predict(const std::vector<double>& features, double weight = 1.0);
-  /// Immediate-label fast path on the next shard in rotation.
-  void Feed(const Instance& instance);
-
-  // --- Mode-independent.
 
   /// Completes prediction `id` on shard `shard` (from the Prediction
   /// ticket). Returns false when the id is unknown there — evicted, never
@@ -208,7 +188,6 @@ class ShardedMonitor {
   void DrainShard(int shard);
 
   int shards() const;
-  runtime::RoutingMode mode() const { return router_.mode(); }
   const StreamSchema& schema() const { return schema_; }
 
   /// Per-shard run state / result (the engine's own, shard-local view).
@@ -308,7 +287,6 @@ class ShardedMonitor {
                  std::string classifier_name, ParamMap classifier_params,
                  std::string detector_name, ParamMap detector_params,
                  uint64_t seed, size_t pending_capacity, int shards,
-                 runtime::RoutingMode mode, uint64_t merge_every,
                  size_t ingress_capacity, ShardedHooks hooks);
 
   /// Restore path of Open(): adopts one decoded state image per shard
@@ -318,10 +296,8 @@ class ShardedMonitor {
                  std::string classifier_name, ParamMap classifier_params,
                  std::string detector_name, ParamMap detector_params,
                  uint64_t seed, size_t pending_capacity,
-                 runtime::RoutingMode mode, uint64_t merge_every,
                  size_t ingress_capacity, ShardedHooks hooks,
-                 uint64_t completed_total, uint64_t generation,
-                 std::vector<io::StateImage>&& images);
+                 uint64_t generation, std::vector<io::StateImage>&& images);
 
   /// The identity half of shard `shard`'s state image (seed_ + shard and
   /// the registry names/params); the caller adds the captured state.
@@ -332,16 +308,10 @@ class ShardedMonitor {
   /// Engine hooks forwarding to hooks_ with `shard` attached; empty slots
   /// stay empty so uninstalled callbacks keep costing nothing.
   EngineHooks MakeShardHooks(int shard) const;
-  void RequireMode(runtime::RoutingMode expected, const char* operation,
-                   const char* alternative) const;
   /// Applies every queued ingress entry of `s` to its engine, in enqueue
-  /// order; returns how many were applied (the caller owes that many
-  /// NoteCompleted() calls, made with no locks held). Skips a paused
-  /// (shipped) shard — the entries wait for its successor.
-  size_t DrainIngress(Shard& s) CCD_REQUIRES(s.mu);
-  /// Counts one completed label and fires the periodic merged-metrics
-  /// aggregate when the cadence is hit. Call with no locks held.
-  void NoteCompleted();
+  /// order. Skips a paused (shipped) shard — the entries wait for its
+  /// successor.
+  void DrainIngress(Shard& s) CCD_REQUIRES(s.mu);
   std::vector<EngineSnapshot> CollectSnapshots() const;
   /// Sums `read(engine)` over all shards, locking one slot at a time —
   /// the shared sweep behind the aggregate counters.
@@ -356,7 +326,6 @@ class ShardedMonitor {
   const ParamMap detector_params_;
   const uint64_t seed_;
   const size_t pending_capacity_;
-  const uint64_t merge_every_;  ///< 0 = no periodic merge.
   /// Per-shard ingress queue bound (serving knob, not persisted state:
   /// Open() rebuilds queues at the builder default, empty by definition —
   /// Persist() drains before capturing).
@@ -370,7 +339,6 @@ class ShardedMonitor {
   /// table-then-slot, always.
   std::vector<std::unique_ptr<Shard>> shards_
       CCD_GUARDED_BY(router_.TableMutex());
-  std::atomic<uint64_t> completed_total_{0};
   /// Generation of the last Persist() from this process (Open() resumes
   /// from the manifest's value).
   uint64_t generation_ CCD_GUARDED_BY(router_.TableMutex()) = 0;
@@ -379,9 +347,8 @@ class ShardedMonitor {
 /// Fluent composer of a ShardedMonitor, mirroring api::MonitorBuilder:
 /// components resolved by registered name, paper-protocol defaults,
 /// ApiError on invalid configuration. Defaults: 1 shard (a sanity
-/// baseline — size real deployments with Shards(k)), hash-key routing,
-/// classifier "cs-ptree", no detector, pending capacity 1024 *per shard*,
-/// no periodic merge.
+/// baseline — size real deployments with Shards(k)), classifier
+/// "cs-ptree", no detector, pending capacity 1024 *per shard*.
 class ShardedMonitorBuilder {
  public:
   ShardedMonitorBuilder() = default;
@@ -402,9 +369,6 @@ class ShardedMonitorBuilder {
 
   /// Initial shard count (>= 1; ApiError otherwise).
   ShardedMonitorBuilder& Shards(int shards);
-  ShardedMonitorBuilder& Mode(runtime::RoutingMode mode);
-  /// Fire on_merged_metrics every `n` completed labels (0 disables).
-  ShardedMonitorBuilder& MergeEvery(uint64_t n);
   /// Per-shard FeedAsync queue bound (rounded up to a power of two,
   /// clamped to >= 1; default 1024).
   ShardedMonitorBuilder& IngressCapacity(size_t capacity);
@@ -416,8 +380,6 @@ class ShardedMonitorBuilder {
       std::function<void(int, uint64_t, const MetricsSnapshot&)> callback);
   ShardedMonitorBuilder& OnMetrics(
       std::function<void(int, const MetricsSnapshot&)> callback);
-  ShardedMonitorBuilder& OnMergedMetrics(
-      std::function<void(const MetricsSnapshot&)> callback);
 
   /// Instantiates the shards and their engines. Throws ApiError on a
   /// missing/invalid schema, unknown component names, a degenerate
@@ -438,8 +400,6 @@ class ShardedMonitorBuilder {
   PrequentialConfig config_;
   size_t pending_capacity_ = 1024;
   int shards_ = 1;
-  runtime::RoutingMode mode_ = runtime::RoutingMode::kHashKey;
-  uint64_t merge_every_ = 0;
   size_t ingress_capacity_ = 1024;
   ShardedHooks hooks_;
 };

@@ -48,8 +48,8 @@ class OnlineClassifier {
 
   /// Deep copy *including all learned state*: the copy's future
   /// Train/PredictScores behavior is bit-identical to this classifier's.
-  /// This is the classifier half of the intra-stream shard handoff
-  /// (eval/sharded.h) — block k+1's worker resumes from block k's clone.
+  /// This is the classifier half of an EngineState (eval/engine.h) — the
+  /// payload api::ShardedMonitor::DrainShard hands to a successor engine.
   /// The default implementation throws std::logic_error; every classifier
   /// registered with the api layer implements it (the snapshot/restore
   /// property test loops over the registry to keep that true).

@@ -52,8 +52,9 @@ class DriftDetector {
 
   /// Deep copy *including all adaptive statistics*: the copy's future
   /// Observe()/state() behavior is bit-identical to this detector's. This
-  /// is the detector half of the intra-stream shard handoff
-  /// (eval/sharded.h). The default implementation throws std::logic_error;
+  /// is the detector half of an EngineState (eval/engine.h), the payload
+  /// api::ShardedMonitor::DrainShard hands to a successor engine. The
+  /// default implementation throws std::logic_error;
   /// every detector registered with the api layer implements it (the
   /// snapshot/restore property test loops over the registry to keep that
   /// true). Value-semantic detectors implement it as a one-line copy.

@@ -246,7 +246,6 @@ void MonitorEngine::Complete(const Instance& instance, bool measured,
     last_state_ = st;
     if (st == DetectorState::kDrift) {
       ++acc_.drifts;
-      acc_.drift_positions.push_back(i);
       acc_.drift_events.push_back(DriftAlarm{i, detector_->drifted_classes()});
       if (hooks_.on_drift) {
         HookScope scope(&in_hook_);
@@ -407,10 +406,6 @@ void MonitorEngine::Restore(const EngineSnapshot& s) {
   acc_.instances = s.position;
   acc_.drifts = s.drift_log.size();
   acc_.drift_events = s.drift_log;
-  acc_.drift_positions.reserve(s.drift_log.size());
-  for (const DriftAlarm& a : s.drift_log) {
-    acc_.drift_positions.push_back(a.position);
-  }
   acc_.class_counts = s.class_counts;
   acc_.pmauc_series = s.pmauc_series;
   acc_.detector_seconds = s.detector_seconds;
@@ -509,10 +504,6 @@ PrequentialResult MergedResult(const std::vector<EngineSnapshot>& shards) {
   r.instances = merged.position;
   r.drifts = merged.drift_log.size();
   r.drift_events = merged.drift_log;
-  r.drift_positions.reserve(merged.drift_log.size());
-  for (const DriftAlarm& a : merged.drift_log) {
-    r.drift_positions.push_back(a.position);
-  }
   r.class_counts = merged.class_counts;
   r.pmauc_series = merged.pmauc_series;
   r.detector_seconds = merged.detector_seconds;
@@ -525,6 +516,25 @@ PrequentialResult MergedResult(const std::vector<EngineSnapshot>& shards) {
     r.mean_kappa = merged.sum_kappa / n;
   }
   return r;
+}
+
+EngineState CaptureEngineState(const MonitorEngine& engine,
+                               const OnlineClassifier& classifier,
+                               const DriftDetector* detector) {
+  EngineState state;
+  state.snapshot = engine.Snapshot();
+  state.classifier = classifier.CloneState();
+  if (detector != nullptr) state.detector = detector->CloneState();
+  return state;
+}
+
+MonitorEngine RestoreEngineState(const StreamSchema& schema,
+                                 const PrequentialConfig& config,
+                                 EngineState& state, EngineHooks hooks) {
+  MonitorEngine engine(schema, state.classifier.get(), state.detector.get(),
+                       config, std::move(hooks));
+  engine.Restore(state.snapshot);
+  return engine;
 }
 
 PrequentialResult MonitorEngine::Result() const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "classifiers/classifier.h"
@@ -50,13 +51,14 @@ struct EngineHooks {
   std::function<void(const MetricsSnapshot&)> on_metrics;
 };
 
-/// Copyable run state of a MonitorEngine at a point in time: everything an
-/// intra-stream shard needs to resume evaluation mid-stream (prefix-state
-/// handoff, see eval/sharded.h), and everything an operator needs to
-/// inspect a live monitor. Together with clones of the classifier and
-/// detector (CloneState()) this is the *complete* engine state:
-/// MonitorEngine::Restore() rebuilds an engine whose subsequent behavior —
-/// and whose own Snapshot() — is bit-identical to the original's.
+/// Copyable run state of a MonitorEngine at a point in time: everything a
+/// successor engine needs to resume evaluation mid-stream (the shard
+/// handoff of api::ShardedMonitor, see EngineState below), and everything
+/// an operator needs to inspect a live monitor. Together with clones of
+/// the classifier and detector (CloneState()) this is the *complete*
+/// engine state: MonitorEngine::Restore() rebuilds an engine whose
+/// subsequent behavior — and whose own Snapshot() — is bit-identical to
+/// the original's.
 struct EngineSnapshot {
   /// One parked serving-path prediction, so a restored engine can still
   /// accept the late Label() calls of its predecessor.
@@ -171,8 +173,8 @@ struct LabelRequest {
 /// label outage degrades to a bounded-memory predictor instead of leaking.
 ///
 /// The engine is single-threaded by design: one engine per stream shard,
-/// sharding above it (api::Suite today, intra-stream sharding next — see
-/// Snapshot()).
+/// sharding above it (api::Suite runs one engine per grid cell,
+/// api::ShardedMonitor one per serving shard).
 class MonitorEngine {
  public:
   /// A prediction handed back to the caller: the opaque id to label later,
@@ -348,6 +350,44 @@ class MonitorEngine {
   // ccd:state-skip(scores_scratch_, transient Feed-path scratch rewritten every push; holds no run state)
   std::vector<double> scores_scratch_;
 };
+
+/// The complete evaluation state of an engine: its run state (counters,
+/// drift log, metric window, pending predictions) plus deep clones of the
+/// learned components. Handing an EngineState to a fresh MonitorEngine
+/// (RestoreEngineState) resumes evaluation exactly where it stopped — the
+/// payload of api::ShardedMonitor's DrainShard, and (encoded) of its
+/// Persist/ShipShard state images.
+struct EngineState {
+  EngineState() = default;
+  /// Explicitly move-only: an EngineState is a *handoff token* — exactly
+  /// one engine may own (and mutate) the component clones it carries.
+  /// Copying would silently alias live classifiers across shards; the
+  /// deleted copy operations turn that bug into a compile error
+  /// (tests/engine_state_test.cc pins this down with static_asserts).
+  EngineState(EngineState&&) = default;
+  EngineState& operator=(EngineState&&) = default;
+  EngineState(const EngineState&) = delete;
+  EngineState& operator=(const EngineState&) = delete;
+
+  EngineSnapshot snapshot;
+  std::unique_ptr<OnlineClassifier> classifier;
+  std::unique_ptr<DriftDetector> detector;  ///< Null when no detector runs.
+};
+
+/// Captures `engine`'s full state: its Snapshot() plus CloneState() copies
+/// of the components it runs on. `detector` may be null. Throws
+/// std::logic_error when a component does not implement CloneState().
+EngineState CaptureEngineState(const MonitorEngine& engine,
+                               const OnlineClassifier& classifier,
+                               const DriftDetector* detector);
+
+/// Builds a fresh engine on the state's own component clones and restores
+/// the snapshot into it. The returned engine references
+/// `state.classifier`/`state.detector`, so `state` must outlive it.
+MonitorEngine RestoreEngineState(const StreamSchema& schema,
+                                 const PrequentialConfig& config,
+                                 EngineState& state,
+                                 EngineHooks hooks = {});
 
 }  // namespace ccd
 

@@ -18,18 +18,13 @@ struct PrequentialConfig {
   uint64_t warmup = 500;      ///< Train-only prefix (no metrics, no drift).
   bool reset_on_drift = true; ///< Reset the classifier when drift fires.
   bool timing = true;         ///< Measure detector/classifier wall time.
-  /// Intra-stream sharding degree: > 1 splits the run into this many
-  /// sequential-handoff blocks evaluated through EngineState transfer on a
-  /// thread pool (eval/sharded.h) — bit-identical to the sequential run.
-  /// 1 is the classic single-pass loop.
-  int shards = 1;
 };
 
 /// Throws std::invalid_argument when `config` is degenerate: a
 /// non-positive `eval_interval` (the sampling modulus — zero is a literal
 /// division by zero), a non-positive `metric_window` (WindowedMetrics
-/// would evict every entry immediately and never accumulate a window), or
-/// a non-positive `shards` count. RunPrequential calls this up front;
+/// would evict every entry immediately and never accumulate a window).
+/// RunPrequential calls this up front;
 /// api::Experiment::Build performs the same checks and reports them as
 /// ApiError.
 void ValidatePrequentialConfig(const PrequentialConfig& config);
@@ -58,10 +53,9 @@ struct PrequentialResult {
   double mean_kappa = 0.0;
   uint64_t instances = 0;
   uint64_t drifts = 0;
-  std::vector<uint64_t> drift_positions;
-  /// Detection-side drift log, parallel to `drift_positions` but carrying
-  /// the classes each alarm implicated (detectors without local-drift
-  /// explanations leave them empty).
+  /// Detection-side drift log: where each alarm fired and the classes it
+  /// implicated (detectors without local-drift explanations leave them
+  /// empty).
   std::vector<DriftAlarm> drift_events;
   /// Realized per-class instance counts over the whole run (warmup
   /// included); labels outside [0, num_classes) are not counted.
@@ -83,11 +77,6 @@ struct PrequentialResult {
 /// This is a thin adapter over MonitorEngine (eval/engine.h): it drains
 /// `stream` through the push-based engine with immediate labels, so
 /// offline evaluation and online serving share one implementation.
-///
-/// With config.shards > 1 the run is delegated to RunShardedPrequential
-/// (eval/sharded.h): same instances, same numbers — proven bit-identical
-/// by tests/sharded_test.cc — but evaluated as pipelined handoff blocks.
-/// shards == 1 is the unchanged sequential baseline.
 PrequentialResult RunPrequential(InstanceStream* stream,
                                  OnlineClassifier* classifier,
                                  DriftDetector* detector,

@@ -1,5 +1,6 @@
 #include "io/monitor_service.h"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -33,12 +34,21 @@ double ParseDouble(const std::string& token, const char* what) {
     throw std::invalid_argument(std::string(what) + " '" + token +
                                 "' has trailing characters");
   }
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument(std::string(what) + " '" + token +
+                                "' is not finite");
+  }
   return v;
 }
 
 uint64_t ParseU64(const std::string& token, const char* what) {
   size_t used = 0;
   unsigned long long v;
+  // std::stoull accepts a leading '-' and wraps the value modulo 2^64.
+  if (!token.empty() && token[0] == '-') {
+    throw std::invalid_argument(std::string(what) + " '" + token +
+                                "' is not a non-negative integer");
+  }
   try {
     v = std::stoull(token, &used);
   } catch (const std::exception&) {
@@ -114,37 +124,24 @@ std::string MonitorService::Dispatch(const std::string& request) {
   for (std::string token; in >> token;) tokens.push_back(std::move(token));
   if (tokens.empty()) throw std::invalid_argument("empty request");
   const std::string& command = tokens[0];
-  const bool keyed = monitor_->mode() == runtime::RoutingMode::kHashKey;
 
   if (command == "PREDICT") {
-    if (keyed) {
-      if (tokens.size() < 3) {
-        throw std::invalid_argument("usage: PREDICT <key> <features...>");
-      }
-      uint64_t key = ParseU64(tokens[1], "key");
-      return FormatPrediction(monitor_->Predict(key, ParseFeatures(tokens, 2)));
+    if (tokens.size() < 3) {
+      throw std::invalid_argument("usage: PREDICT <key> <features...>");
     }
-    return FormatPrediction(monitor_->Predict(ParseFeatures(tokens, 1)));
+    uint64_t key = ParseU64(tokens[1], "key");
+    return FormatPrediction(monitor_->Predict(key, ParseFeatures(tokens, 2)));
   }
 
   if (command == "FEED") {
-    Instance instance;
-    if (keyed) {
-      if (tokens.size() < 4) {
-        throw std::invalid_argument("usage: FEED <key> <label> <features...>");
-      }
-      uint64_t key = ParseU64(tokens[1], "key");
-      instance.label = ParseInt(tokens[2], "label");
-      instance.features = ParseFeatures(tokens, 3);
-      monitor_->Feed(key, instance);
-    } else {
-      if (tokens.size() < 3) {
-        throw std::invalid_argument("usage: FEED <label> <features...>");
-      }
-      instance.label = ParseInt(tokens[1], "label");
-      instance.features = ParseFeatures(tokens, 2);
-      monitor_->Feed(instance);
+    if (tokens.size() < 4) {
+      throw std::invalid_argument("usage: FEED <key> <label> <features...>");
     }
+    uint64_t key = ParseU64(tokens[1], "key");
+    Instance instance;
+    instance.label = ParseInt(tokens[2], "label");
+    instance.features = ParseFeatures(tokens, 3);
+    monitor_->Feed(key, instance);
     return "OK";
   }
 

@@ -16,17 +16,18 @@ namespace io {
 /// migration commands carry a binary state image after a '\n', which the
 /// length-prefixed framing makes safe.
 ///
-///   PREDICT <key> <f...>   (hash mode)   -> OK <shard> <id> <label> <s...>
-///   PREDICT <f...>         (round-robin) -> OK <shard> <id> <label> <s...>
-///   FEED <key> <y> <f...>  (hash mode)   -> OK
-///   FEED <y> <f...>        (round-robin) -> OK
-///   LABEL <shard> <id> <y>               -> OK applied | OK unknown
-///   STATS                                -> OK position=... pending=...
-///   RESULT                               -> OK pmauc=... pmgm=...
-///   PERSIST [<dir>]                      -> OK <dir>
-///   SHIP <shard>                         -> OK\n<state image bytes>
-///   LOAD <shard>\n<state image bytes>    -> OK
+///   PREDICT <key> <f...>               -> OK <shard> <id> <label> <s...>
+///   FEED <key> <y> <f...>              -> OK
+///   LABEL <shard> <id> <y>             -> OK applied | OK unknown
+///   STATS                              -> OK position=... pending=...
+///   RESULT                             -> OK pmauc=... pmgm=...
+///   PERSIST [<dir>]                    -> OK <dir>
+///   SHIP <shard>                       -> OK\n<state image bytes>
+///   LOAD <shard>\n<state image bytes>  -> OK
 ///
+/// Keys and ids are non-negative integers (a leading '-' is rejected, not
+/// wrapped modulo 2^64) and feature values must be finite (nan/inf are
+/// rejected: one such value silently wrecks a shard's windowed metrics).
 /// Every failure — unknown command, malformed number, engine/API errors —
 /// is caught and answered as "ERR <message>": a bad request must never
 /// take down the serving process. Thread-safety is inherited from the

@@ -1,17 +1,15 @@
-// Intra-stream sharded evaluation (eval/sharded.h) — the differential /
-// property harness proving the load-bearing claim: evaluating a stream as
-// K sequential-handoff blocks through EngineState (Snapshot() + component
-// CloneState() → Restore()) is *bit-identical* to the uninterrupted
-// sequential run, for every shard count, generator, detector and
-// classifier. Also covers the EngineSnapshot round-trip contract (pending
-// buffer, eviction/unmatched counters, warning-zone latch) and the
-// failure modes (components without CloneState, degenerate shard counts,
-// inconsistent snapshots).
+// EngineState (eval/engine.h) — the complete-state handoff payload of
+// api::ShardedMonitor::DrainShard and of the io state images. Proves the
+// load-bearing claim: Snapshot() + component CloneState() → Restore() and
+// continue is *bit-identical* to the uninterrupted run, for every
+// registered detector and classifier. Also covers the EngineSnapshot
+// round-trip contract (pending buffer, eviction/unmatched counters,
+// warning-zone latch) and the failure modes (components without
+// CloneState, inconsistent snapshots).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -22,9 +20,6 @@
 #include "api/api.h"
 #include "eval/engine.h"
 #include "eval/prequential.h"
-#include "eval/sharded.h"
-#include "generators/registry.h"
-#include "runtime/thread_pool.h"
 #include "stream/stream.h"
 #include "testing_util.h"
 
@@ -47,133 +42,8 @@ using test_util::ExpectBitIdentical;
 using test_util::ExpectSnapshotEq;
 using test_util::FrozenClassifier;
 using test_util::MakeRbfDriftStream;
-using test_util::MakeSeaDriftStream;
 using test_util::ShortConfig;
 using test_util::WarningRegionDetector;
-
-// ------------------------------------------------------------ ShardBlocks
-
-TEST(ShardBlocksTest, SplitsCoverTheStreamContiguously) {
-  // Divisible.
-  auto blocks = ShardBlocks(1000, 4);
-  ASSERT_EQ(blocks.size(), 4u);
-  EXPECT_EQ(blocks.front().first, 0u);
-  EXPECT_EQ(blocks.back().second, 1000u);
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    EXPECT_EQ(blocks[i].second - blocks[i].first, 250u);
-    if (i > 0) {
-      EXPECT_EQ(blocks[i].first, blocks[i - 1].second);
-    }
-  }
-  // Non-divisible: earlier blocks absorb the remainder, sizes differ by
-  // at most one.
-  blocks = ShardBlocks(2600, 7);
-  ASSERT_EQ(blocks.size(), 7u);
-  uint64_t total = 0;
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    const uint64_t size = blocks[i].second - blocks[i].first;
-    EXPECT_TRUE(size == 371 || size == 372);
-    if (i > 0) {
-      EXPECT_EQ(blocks[i].first, blocks[i - 1].second);
-    }
-    total += size;
-  }
-  EXPECT_EQ(total, 2600u);
-  // More shards than instances: clamped to one block per instance.
-  blocks = ShardBlocks(3, 8);
-  ASSERT_EQ(blocks.size(), 3u);
-  // Empty stream: a single empty block.
-  blocks = ShardBlocks(0, 5);
-  ASSERT_EQ(blocks.size(), 1u);
-  EXPECT_EQ(blocks[0], (std::pair<uint64_t, uint64_t>{0, 0}));
-}
-
-// ------------------------------------------------- differential grid test
-
-/// A fresh, identically seeded stream per run, so sequential and sharded
-/// evaluations see the same realization.
-using StreamFactory = std::function<std::unique_ptr<InstanceStream>()>;
-
-PrequentialResult RunWithShards(const StreamFactory& make_stream,
-                                const std::string& detector_name,
-                                const PrequentialConfig& base, int shards) {
-  std::unique_ptr<InstanceStream> stream = make_stream();
-  auto classifier =
-      api::MakeClassifier("cs-ptree", stream->schema(), /*seed=*/42);
-  auto detector =
-      api::MakeDetector(detector_name, stream->schema(), /*seed=*/42);
-  PrequentialConfig cfg = base;
-  cfg.shards = shards;
-  return RunPrequential(stream.get(), classifier.get(), detector.get(), cfg);
-}
-
-// The acceptance grid: shards {2, 4, 7} x three structurally different
-// generators x two detectors, all bit-identical to the sequential run.
-// max_instances = 2600 is divisible by neither 4 nor 7, and warmup = 400
-// exceeds the 7-shard block size (371/372), so the train-only prefix
-// itself crosses a handoff boundary.
-TEST(ShardedDifferentialTest, GridMatchesSequentialBitForBit) {
-  PrequentialConfig cfg = ShortConfig();
-  cfg.max_instances = 2600;
-  cfg.warmup = 400;
-
-  std::vector<std::pair<std::string, StreamFactory>> streams;
-  streams.emplace_back("SEA", [] {
-    return std::unique_ptr<InstanceStream>(MakeSeaDriftStream(1300, 9));
-  });
-  for (const std::string name : {"RBF5", "Aggrawal5"}) {
-    const StreamSpec* spec = FindStreamSpec(name);
-    ASSERT_NE(spec, nullptr);
-    streams.emplace_back(name, [spec] {
-      BuildOptions options;
-      options.scale = 0.001;
-      options.seed = 42;
-      return std::unique_ptr<InstanceStream>(
-          std::move(BuildStream(*spec, options).stream));
-    });
-  }
-
-  for (const auto& [stream_name, factory] : streams) {
-    for (const std::string detector : {"DDM", "ADWIN"}) {
-      SCOPED_TRACE(stream_name + " / " + detector);
-      PrequentialResult sequential = RunWithShards(factory, detector, cfg, 1);
-      // A run this size through a learning tree must produce a non-trivial
-      // trajectory, or the bit-identity below would be vacuous.
-      EXPECT_EQ(sequential.instances, 2600u);
-      EXPECT_FALSE(sequential.pmauc_series.empty());
-      for (int shards : {2, 4, 7}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        PrequentialResult sharded =
-            RunWithShards(factory, detector, cfg, shards);
-        ExpectBitIdentical(sequential, sharded);
-      }
-    }
-  }
-}
-
-// Sharded runs on a caller-provided shared pool (the api::Suite shape:
-// several runs interleaving their blocks on one pool) are the same
-// numbers again.
-TEST(ShardedDifferentialTest, SharedPoolMatchesPrivatePool) {
-  PrequentialConfig cfg = ShortConfig();
-  cfg.max_instances = 2200;
-  cfg.shards = 5;
-
-  auto make = [] { return MakeRbfDriftStream(1100, 33); };
-  auto s1 = make();
-  auto c1 = api::MakeClassifier("cs-ptree", s1->schema(), 42);
-  auto d1 = api::MakeDetector("DDM", s1->schema(), 42);
-  PrequentialResult private_pool =
-      RunShardedPrequential(s1.get(), c1.get(), d1.get(), cfg);
-
-  runtime::ThreadPool pool(4);
-  auto s2 = make();
-  auto c2 = api::MakeClassifier("cs-ptree", s2->schema(), 42);
-  auto d2 = api::MakeDetector("DDM", s2->schema(), 42);
-  PrequentialResult shared_pool =
-      RunShardedPrequential(s2.get(), c2.get(), d2.get(), cfg, &pool);
-  ExpectBitIdentical(private_pool, shared_pool);
-}
 
 // ------------------------------------------ registry-wide property tests
 
@@ -353,7 +223,7 @@ TEST(EngineSnapshotTest, RestoreRejectsInconsistentSnapshots) {
 // ------------------------------------------------ failure-mode contracts
 
 /// Detector without CloneState(): legal for plain monitoring, must be
-/// rejected loudly the moment it is asked to cross a shard boundary.
+/// rejected loudly the moment its state is asked to move to another engine.
 class NoHandoffDetector : public DriftDetector {
  public:
   void Observe(const Instance&, int, const std::vector<double>&) override {}
@@ -362,96 +232,24 @@ class NoHandoffDetector : public DriftDetector {
   std::string name() const override { return "no-handoff"; }
 };
 
-TEST(ShardedTest, ComponentWithoutCloneStateFailsLoudly) {
+TEST(EngineStateTest, ComponentWithoutCloneStateFailsLoudly) {
   auto stream = MakeRbfDriftStream(1u << 30, 5);
   auto classifier = api::MakeClassifier("naive-bayes", stream->schema(), 42);
   NoHandoffDetector detector;
   PrequentialConfig cfg = ShortConfig();
   cfg.max_instances = 1200;
-  cfg.shards = 3;
+  MonitorEngine engine(stream->schema(), classifier.get(), &detector, cfg);
+  for (int i = 0; i < 400; ++i) engine.Feed(stream->Next());
   try {
-    RunPrequential(stream.get(), classifier.get(), &detector, cfg);
+    CaptureEngineState(engine, *classifier, &detector);
     FAIL() << "expected std::logic_error";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("no-handoff"), std::string::npos);
   }
-  // shards=1 never crosses a boundary: the same detector is fine.
+  // A run that never hands its state off is fine with the same detector.
   auto stream2 = MakeRbfDriftStream(1u << 30, 5);
-  cfg.shards = 1;
   EXPECT_NO_THROW(
       RunPrequential(stream2.get(), classifier.get(), &detector, cfg));
-}
-
-TEST(ShardedTest, DegenerateShardCountsAreRejected) {
-  auto stream = MakeRbfDriftStream(1u << 30, 5);
-  auto classifier = api::MakeClassifier("naive-bayes", stream->schema(), 42);
-  PrequentialConfig cfg = ShortConfig();
-  cfg.shards = 0;
-  EXPECT_THROW(RunPrequential(stream.get(), classifier.get(), nullptr, cfg),
-               std::invalid_argument);
-  cfg.shards = -4;
-  EXPECT_THROW(RunPrequential(stream.get(), classifier.get(), nullptr, cfg),
-               std::invalid_argument);
-}
-
-// More shards than instances: clamped, still correct.
-TEST(ShardedTest, MoreShardsThanInstancesStillMatches) {
-  PrequentialConfig cfg = ShortConfig();
-  cfg.max_instances = 40;
-  cfg.warmup = 10;
-
-  auto run = [&](int shards) {
-    auto stream = MakeRbfDriftStream(1u << 30, 3);
-    auto classifier = api::MakeClassifier("naive-bayes", stream->schema(), 42);
-    PrequentialConfig c = cfg;
-    c.shards = shards;
-    return RunPrequential(stream.get(), classifier.get(), nullptr, c);
-  };
-  ExpectBitIdentical(run(1), run(64));
-}
-
-// ----------------------------------------------------- api-layer routing
-
-TEST(ShardedApiTest, ExperimentShardsIsBitIdenticalAndValidated) {
-  PrequentialConfig cfg = ShortConfig();
-  api::Experiment base = api::Experiment()
-                             .Stream("RBF5")
-                             .Scale(0.001)
-                             .Seed(42)
-                             .Detector("DDM")
-                             .Prequential(cfg);
-  PrequentialResult sequential = base.Run();
-  PrequentialResult sharded = api::Experiment(base).Shards(4).Run();
-  ExpectBitIdentical(sequential, sharded);
-  // Build() reports the resolved shard count.
-  EXPECT_EQ(api::Experiment(base).Shards(4).Build().config.shards, 4);
-  // Degenerate shard counts are an ApiError at Build(), not UB later.
-  EXPECT_THROW(api::Experiment(base).Shards(0).Run(), api::ApiError);
-  EXPECT_THROW(api::Experiment(base).Shards(-2).Run(), api::ApiError);
-}
-
-TEST(ShardedApiTest, SuiteShardsLeavesGridResultsUnchanged) {
-  PrequentialConfig cfg = ShortConfig();
-  cfg.max_instances = 1400;
-  auto run = [&](int shards) {
-    return api::Suite()
-        .Streams({"RBF5"})
-        .Detectors({"DDM", "ADWIN"})
-        .Scale(0.001)
-        .Seed(42)
-        .Prequential(cfg)
-        .Threads(2)
-        .Shards(shards)
-        .Run();
-  };
-  api::SuiteResult sequential = run(1);
-  api::SuiteResult sharded = run(3);
-  ASSERT_EQ(sequential.cells.size(), sharded.cells.size());
-  for (size_t i = 0; i < sequential.cells.size(); ++i) {
-    SCOPED_TRACE(sequential.cells[i].cell.detector_label);
-    EXPECT_EQ(sharded.cells[i].cell.shards, 3);
-    ExpectBitIdentical(sequential.cells[i].result, sharded.cells[i].result);
-  }
 }
 
 }  // namespace

@@ -387,7 +387,9 @@ TEST(PrequentialTest, DetectorResetAidsRecovery) {
   // point (early spurious alarms from young statistics are tolerated).
   if (with_det.drifts > 0) {
     bool any_after = false;
-    for (uint64_t pos : with_det.drift_positions) any_after |= pos >= 4500;
+    for (const DriftAlarm& a : with_det.drift_events) {
+      any_after |= a.position >= 4500;
+    }
     EXPECT_TRUE(any_after);
   }
   // Resetting on detection must not wreck the pipeline.
@@ -466,7 +468,7 @@ TEST(PrequentialTest, WarmupDriftIsConsumedNotReplayed) {
   cfg.warmup = 500;
   PrequentialResult r = RunPrequential(stream.get(), &clf, &det, cfg);
   EXPECT_EQ(r.drifts, 0u);
-  EXPECT_TRUE(r.drift_positions.empty());
+  EXPECT_TRUE(r.drift_events.empty());
   EXPECT_EQ(clf.resets, 0);
 }
 
@@ -482,8 +484,8 @@ TEST(PrequentialTest, PostWarmupScriptedDriftStillCounts) {
   cfg.warmup = 500;
   PrequentialResult r = RunPrequential(stream.get(), &clf, &det, cfg);
   EXPECT_EQ(r.drifts, 1u);
-  ASSERT_EQ(r.drift_positions.size(), 1u);
-  EXPECT_EQ(r.drift_positions[0], 599u);  // The 600th Observe() call.
+  ASSERT_EQ(r.drift_events.size(), 1u);
+  EXPECT_EQ(r.drift_events[0].position, 599u);  // The 600th Observe() call.
   EXPECT_EQ(clf.resets, 1);
 }
 
@@ -515,9 +517,8 @@ TEST(PrequentialTest, DriftEventsCarryLocalDriftInformation) {
   cfg.max_instances = 2000;
   cfg.warmup = 500;
   PrequentialResult r = RunPrequential(stream.get(), &clf, &det, cfg);
-  ASSERT_EQ(r.drift_events.size(), r.drift_positions.size());
   ASSERT_EQ(r.drift_events.size(), 1u);
-  EXPECT_EQ(r.drift_events[0].position, r.drift_positions[0]);
+  EXPECT_EQ(r.drift_events[0].position, 699u);  // The 700th Observe() call.
   EXPECT_EQ(r.drift_events[0].drifted_classes, std::vector<int>{2});
 }
 

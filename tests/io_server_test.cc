@@ -220,6 +220,11 @@ TEST_F(MonitorServiceTest, MalformedRequestsReturnErrNeverThrow) {
       "PREDICT notakey 1 2",     // Key is not a number.
       "FEED 7 notalabel 1 2",    // Label is not a number.
       "FEED 7 1 0.5 bogus",      // Feature is not a number.
+      "FEED 7 1 nan 2",          // Non-finite feature.
+      "FEED 7 1 inf 2",          // Non-finite feature.
+      "PREDICT 7 1 -inf",        // Non-finite feature.
+      "PREDICT -1 1 2",          // Negative key (stoull would wrap it).
+      "LABEL 0 -1 0",            // Negative id (stoull would wrap it).
       "LABEL 0 1",               // Wrong arity.
       "LABEL 99 1 0",            // Shard out of range.
       "PERSIST",                 // No directory configured.

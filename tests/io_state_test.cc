@@ -17,7 +17,6 @@
 
 #include "api/api.h"
 #include "eval/engine.h"
-#include "eval/sharded.h"
 #include "io/state_codec.h"
 #include "io/wire.h"
 #include "testing_util.h"
@@ -44,7 +43,8 @@ static_assert(std::is_move_assignable<EngineState>::value,
 /// Runs `data` through an engine; `interrupt_at` > 0 stops there, pushes
 /// the complete state THROUGH THE WIRE (StateImage encode → decode) and
 /// finishes the run on the decoded components — the durable twin of
-/// sharded_test's CloneState() harness. Returns (result, final snapshot).
+/// engine_state_test's CloneState() harness. Returns (result, final
+/// snapshot).
 std::pair<PrequentialResult, EngineSnapshot> RunMaybeSerialized(
     const std::vector<Instance>& data, const StreamSchema& schema,
     const std::string& classifier_name, const std::string& detector_name,
@@ -194,7 +194,6 @@ TEST(ConfigCodecTest, RoundTripsAndRejectsDegenerateConfigs) {
   cfg.warmup = 250;
   cfg.reset_on_drift = false;
   cfg.timing = true;
-  cfg.shards = 3;
   io::Writer w;
   io::WriteConfig(w, cfg);
   io::Reader r(w.data());
@@ -205,7 +204,6 @@ TEST(ConfigCodecTest, RoundTripsAndRejectsDegenerateConfigs) {
   EXPECT_EQ(back.warmup, cfg.warmup);
   EXPECT_EQ(back.reset_on_drift, cfg.reset_on_drift);
   EXPECT_EQ(back.timing, cfg.timing);
-  EXPECT_EQ(back.shards, cfg.shards);
 
   // A config that would divide by zero must not survive deserialization.
   PrequentialConfig bad = cfg;

@@ -38,7 +38,6 @@ namespace ccd {
 namespace {
 
 using runtime::Router;
-using runtime::RoutingMode;
 using test_util::ExpectSnapshotEq;
 using test_util::KeyedInstance;
 using test_util::KeysForSlot;
@@ -85,26 +84,14 @@ TEST(RouterTest, HashKeyIsPinnedAndStable) {
   EXPECT_THROW(Router::KeySlot(7, 0), std::invalid_argument);
 }
 
-TEST(RouterTest, RoutesUnderSharedTableLockAndModeIsEnforced) {
-  Router hash_router(4, RoutingMode::kHashKey);
-  EXPECT_EQ(hash_router.slots(), 4);
-  {
-    runtime::ReaderLock table(&hash_router.TableMutex());
-    EXPECT_EQ(hash_router.RouteKey(42), Router::KeySlot(42, 4));
-    // Round-robining keyed traffic would break per-key ordering — rejected.
-    EXPECT_THROW(hash_router.RouteNext(), std::logic_error);
-    EXPECT_THROW(hash_router.RequireSlot(4), std::out_of_range);
-    EXPECT_THROW(hash_router.RequireSlot(-1), std::out_of_range);
-    EXPECT_NO_THROW(hash_router.RequireSlot(3));
-  }
-
-  Router rr_router(3, RoutingMode::kRoundRobin);
-  runtime::ReaderLock table(&rr_router.TableMutex());
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(rr_router.RouteNext(), i % 3);
-  }
-  // Keyed lookups stay legal on a round-robin table (ticket labelling).
-  EXPECT_NO_THROW(rr_router.RouteKey(7));
+TEST(RouterTest, RoutesUnderSharedTableLock) {
+  Router router(4);
+  EXPECT_EQ(router.slots(), 4);
+  runtime::ReaderLock table(&router.TableMutex());
+  EXPECT_EQ(router.RouteKey(42), Router::KeySlot(42, 4));
+  EXPECT_THROW(router.RequireSlot(4), std::out_of_range);
+  EXPECT_THROW(router.RequireSlot(-1), std::out_of_range);
+  EXPECT_NO_THROW(router.RequireSlot(3));
 }
 
 /// The runtime half of the AddSlot lock-identity contract, exercised with
@@ -112,13 +99,13 @@ TEST(RouterTest, RoutesUnderSharedTableLockAndModeIsEnforced) {
 /// compile (tests/negative_compile/add_slot_without_table_lock.cc proves
 /// it), so this body must opt out of the analysis to exist at all.
 void ExpectForeignLockRejected(Router& router) CCD_NO_THREAD_SAFETY_ANALYSIS {
-  Router other(1, RoutingMode::kHashKey);
+  Router other(1);
   runtime::WriterLock foreign(&other.TableMutex());
   EXPECT_THROW(router.AddSlot(foreign), std::logic_error);
 }
 
 TEST(RouterTest, AddSlotGrowsTableUnderExclusiveLockOnly) {
-  Router router(2, RoutingMode::kHashKey);
+  Router router(2);
   {
     runtime::WriterLock table(&router.TableMutex());
     EXPECT_EQ(router.AddSlot(table), 2);
@@ -184,7 +171,7 @@ TEST(MergeSnapshotsTest, SumsCountersAndOrdersLogs) {
   const PrequentialResult r = MergedResult({a, b});
   EXPECT_EQ(r.instances, 30u);
   EXPECT_EQ(r.drifts, 3u);
-  EXPECT_EQ(r.drift_positions, (std::vector<uint64_t>{3, 7, 7}));
+  EXPECT_EQ(r.drift_events, m.drift_log);
   EXPECT_EQ(r.mean_pmauc, 0.5);  // (1.5 + 0.5) / 4 samples.
 
   // Shards disagreeing on class arity are a caller bug, not a zero-fill.
@@ -226,7 +213,6 @@ TEST(ShardedDifferentialTest, HashRoutedEqualsIndependentEnginesPerShard) {
   config.shards = 4;
   config.seed = 100;
   auto monitor = test_util::MakeServing(config);
-  EXPECT_EQ(monitor.mode(), RoutingMode::kHashKey);
   EXPECT_EQ(monitor.shards(), config.shards);
 
   test_util::SimHistory history;
@@ -406,58 +392,10 @@ TEST(ReshardTest, AddShardGrowsTableAndReroutesKeys) {
   EXPECT_GT(monitor.ShardSnapshot(2).position, 0u);
 }
 
-// ----------------------------------------- round-robin + aggregate fan-in
+// ------------------------------------------------- shard index contracts
 
-TEST(RoundRobinTest, CyclesShardsAndAggregates) {
-  constexpr int kShards = 3;
-  std::vector<std::pair<uint64_t, size_t>> merged_samples;  // position, window
-  auto monitor = api::ShardedMonitorBuilder()
-                     .Schema(ServingSchema())
-                     .Classifier("naive-bayes")
-                     .Detector("DDM")
-                     .Seed(100)
-                     .Protocol(ShortConfig())
-                     .Shards(kShards)
-                     .Mode(RoutingMode::kRoundRobin)
-                     .MergeEvery(500)
-                     .OnMergedMetrics([&](const MetricsSnapshot& m) {
-                       merged_samples.emplace_back(m.position, m.window_size);
-                     })
-                     .Build();
-
-  auto stream = MakeRbfDriftStream(1500, 29);
-  const std::vector<Instance> data = Take(stream.get(), 3000);
-  for (const Instance& instance : data) monitor.Feed(instance);
-
-  // Perfect rotation: every shard saw exactly a third of the stream.
-  for (int s = 0; s < kShards; ++s) {
-    EXPECT_EQ(monitor.ShardSnapshot(s).position, 1000u);
-  }
-  EXPECT_EQ(monitor.Result().instances, 3000u);
-  // The periodic EngineState merge fired on schedule, at the aggregate
-  // positions, with the summed window sizes.
-  ASSERT_EQ(merged_samples.size(), 6u);
-  for (size_t i = 0; i < merged_samples.size(); ++i) {
-    EXPECT_EQ(merged_samples[i].first, (i + 1) * 500);
-  }
-  EXPECT_GT(merged_samples.back().second, 0u);
-
-  // Ticket-based serving works in rotation mode too.
-  auto p = monitor.Predict(data[0].features);
-  EXPECT_TRUE(monitor.Label(p.shard, p.id, data[0].label));
-
-  // Keyed pushes are the hash-mode surface.
-  EXPECT_THROW(monitor.Feed(7, data[0]), std::logic_error);
-  EXPECT_THROW(monitor.Predict(7, data[0].features), std::logic_error);
-  EXPECT_THROW(monitor.LabelKey(7, 1, 0), std::logic_error);
-}
-
-TEST(RoutingModeTest, HashModeRejectsUnkeyedPushes) {
+TEST(ShardedMonitorTest, BogusShardIndicesAreOutOfRange) {
   auto monitor = ServingBuilder(2).Build();
-  auto stream = MakeRbfDriftStream(100, 3);
-  const Instance instance = Take(stream.get(), 1).front();
-  EXPECT_THROW(monitor.Feed(instance), std::logic_error);
-  EXPECT_THROW(monitor.Predict(instance.features), std::logic_error);
   EXPECT_THROW(monitor.Label(5, 1, 0), std::out_of_range);
   EXPECT_THROW(monitor.DrainShard(2), std::out_of_range);
   EXPECT_THROW(monitor.ShardSnapshot(-1), std::out_of_range);

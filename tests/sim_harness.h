@@ -458,7 +458,6 @@ inline std::string DescribeResultDiff(const PrequentialResult& a,
   if (a.mean_accuracy != b.mean_accuracy) return "mean_accuracy";
   if (a.mean_kappa != b.mean_kappa) return "mean_kappa";
   if (a.drifts != b.drifts) return "drifts";
-  if (a.drift_positions != b.drift_positions) return "drift_positions";
   if (!(a.drift_events == b.drift_events)) return "drift_events";
   if (a.pmauc_series != b.pmauc_series) return "pmauc_series";
   if (a.class_counts != b.class_counts) return "class_counts";

@@ -66,7 +66,7 @@ TEST(SuiteTest, SameGridIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(ca.result.mean_accuracy, cb.result.mean_accuracy);
     EXPECT_EQ(ca.result.mean_kappa, cb.result.mean_kappa);
     EXPECT_EQ(ca.result.drifts, cb.result.drifts);
-    EXPECT_EQ(ca.result.drift_positions, cb.result.drift_positions);
+    EXPECT_EQ(ca.result.drift_events, cb.result.drift_events);
     EXPECT_EQ(ca.result.pmauc_series, cb.result.pmauc_series);
     EXPECT_EQ(ca.result.class_counts, cb.result.class_counts);
   }
