@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/rbm.h"
+#include "io/wire.h"
+#include "testing_util.h"
 #include "utils/rng.h"
 
 namespace ccd {
@@ -234,6 +241,114 @@ TEST(RbmTest, ClassifyProbsFreeEnergyIsDistribution) {
     sum += p;
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+// --- Kernel pin ----------------------------------------------------------
+//
+// Every public output of the dense kernels as %.17g, plus an FNV-1a digest
+// of the SaveState bytes after 20 TrainBatch calls, compared against
+// tests/golden/rbm_kernels.txt under the golden-file rules of
+// tests/testing_util.h. The shapes cover layers that fill whole 4-row
+// blocks (80, 40, 20) and layers that leave a remainder (7, 5, 3); each
+// shape runs CD-1 and CD-2 with the class-balanced weighting on and off.
+
+struct PinCase {
+  int visible, hidden, classes, cd_steps;
+  bool class_balanced;
+};
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+void RenderVec(std::ostringstream& out, const char* name,
+               const std::vector<double>& v) {
+  out << name;
+  for (double x : v) out << " " << test_util::G(x);
+  out << "\n";
+}
+
+std::string RenderPinCase(const PinCase& c) {
+  Rbm::Params p;
+  p.visible = c.visible;
+  p.hidden = c.hidden;
+  p.classes = c.classes;
+  p.cd_steps = c.cd_steps;
+  p.class_balanced = c.class_balanced;
+  Rbm rbm(p, 101);
+  Rng rng(202);
+  // One prototype per class; labels skewed toward class 0 so the
+  // class-balanced weights differ between classes.
+  std::vector<std::vector<double>> protos(static_cast<size_t>(c.classes));
+  for (auto& proto : protos) {
+    proto.resize(static_cast<size_t>(c.visible));
+    for (double& x : proto) x = rng.NextDouble();
+  }
+  auto draw_label = [&] {
+    const double u = rng.NextDouble();
+    return std::min(c.classes - 1, static_cast<int>(c.classes * u * u));
+  };
+  auto draw = [&](int y) {
+    std::vector<double> x = protos[static_cast<size_t>(y)];
+    for (double& v : x) v = std::clamp(v + rng.Gaussian(0.0, 0.1), 0.0, 1.0);
+    return x;
+  };
+  for (int b = 0; b < 20; ++b) {
+    std::vector<Instance> batch;
+    for (int i = 0; i < 50; ++i) {
+      const int y = draw_label();
+      batch.emplace_back(draw(y), y);
+    }
+    rbm.TrainBatch(batch);
+  }
+
+  std::ostringstream out;
+  out << "case V=" << c.visible << " H=" << c.hidden << " Z=" << c.classes
+      << " cd=" << c.cd_steps << " balanced=" << c.class_balanced << "\n";
+  out << "class_weight";
+  for (int k = 0; k < c.classes; ++k) out << " " << test_util::G(rbm.ClassWeight(k));
+  out << "\n";
+  for (int probe = 0; probe < 2; ++probe) {
+    const int y = draw_label();
+    const std::vector<double> x = draw(y);
+    std::vector<double> z(static_cast<size_t>(c.classes), 0.0);
+    z[static_cast<size_t>(y)] = 1.0;
+    const std::vector<double> h = rbm.HiddenProbs(x, z);
+    RenderVec(out, "hidden_probs", h);
+    RenderVec(out, "visible_probs", rbm.VisibleProbs(h));
+    RenderVec(out, "class_probs", rbm.ClassProbs(h));
+    RenderVec(out, "hidden_from_visible", rbm.HiddenFromVisible(x));
+    RenderVec(out, "class_readout", rbm.ClassReadout(x));
+    RenderVec(out, "classify_probs", rbm.ClassifyProbs(x));
+    RenderVec(out, "recon_error",
+              {rbm.ReconstructionError(x, y),
+               rbm.ReconstructionError(x, (y + 1) % c.classes),
+               rbm.ReconstructionError(x, -1)});
+  }
+  io::Writer w;
+  rbm.SaveState(w);
+  out << "digest state_fnv1a " << Fnv1a(w.data()) << "\n";
+  return out.str();
+}
+
+TEST(RbmTest, KernelOutputsMatchPin) {
+  std::string actual;
+  for (int shape = 0; shape < 2; ++shape) {
+    for (int cd_steps = 1; cd_steps <= 2; ++cd_steps) {
+      for (bool balanced : {true, false}) {
+        PinCase c = shape == 0 ? PinCase{7, 5, 3, cd_steps, balanced}
+                               : PinCase{80, 40, 20, cd_steps, balanced};
+        actual += RenderPinCase(c);
+      }
+    }
+  }
+  test_util::ExpectMatchesGolden(
+      std::string(CCD_GOLDEN_DIR) + "/rbm_kernels.txt", actual);
 }
 
 }  // namespace

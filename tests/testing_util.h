@@ -5,13 +5,20 @@
 // engine_state_test): tiny deterministic streams, stub classifiers/detectors
 // with known behavior, and result/snapshot equality helpers. Everything
 // here is deterministic from its seed so tests can assert bit-identity.
+// Also the golden-file comparison shared by the pinned-output tests
+// (golden_test, rbm_test).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -314,6 +321,92 @@ inline std::vector<DelayedPush> MakeDelaySchedule(
     schedule.push_back(std::move(push));
   }
   return schedule;
+}
+
+// --- Golden files -------------------------------------------------------
+//
+// A pinned-output test renders its results as text (doubles as %.17g via
+// G()) and hands it to ExpectMatchesGolden(). Comparison is exact
+// (byte-identical text) when built with the recording toolchain, GCC
+// 12.2.0. Other compilers and libm versions round exp/log differently, so
+// there every number is compared with a relative tolerance of
+// kGoldenRelTol (integers and words still exactly), and lines starting
+// with "digest " — hashes of raw bytes — are skipped.
+//
+// Re-pinning: running the test with CCD_GOLDEN_UPDATE=1 rewrites the file.
+// Only do so for an intended behaviour change, and record the reason in
+// CHANGES.md.
+
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12 && \
+    __GNUC_MINOR__ == 2 && __GNUC_PATCHLEVEL__ == 0
+constexpr bool kRecordingToolchain = true;
+#else
+constexpr bool kRecordingToolchain = false;
+#endif
+
+constexpr double kGoldenRelTol = 1e-9;
+
+inline std::string G(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+inline std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// True when `a` and `b` agree token by token: integer tokens and words
+/// exactly, floating-point tokens within kGoldenRelTol.
+inline bool TokensMatch(const std::string& a, const std::string& b) {
+  std::istringstream ia(a), ib(b);
+  std::string ta, tb;
+  while (true) {
+    const bool more_a = static_cast<bool>(ia >> ta);
+    const bool more_b = static_cast<bool>(ib >> tb);
+    if (more_a != more_b) return false;
+    if (!more_a) return true;
+    if (ta == tb) continue;
+    const bool is_float = ta.find_first_of(".eE") != std::string::npos;
+    char* end_a = nullptr;
+    char* end_b = nullptr;
+    const double va = std::strtod(ta.c_str(), &end_a);
+    const double vb = std::strtod(tb.c_str(), &end_b);
+    if (!is_float || *end_a != '\0' || *end_b != '\0') return false;
+    const double scale = std::max(std::fabs(va), std::fabs(vb));
+    if (std::fabs(va - vb) > kGoldenRelTol * scale) return false;
+  }
+}
+
+/// Compares `actual` against the golden file at `path` (see above), or
+/// rewrites the file and skips the test under CCD_GOLDEN_UPDATE.
+inline void ExpectMatchesGolden(const std::string& path,
+                                const std::string& actual) {
+  if (std::getenv("CCD_GOLDEN_UPDATE") != nullptr) {
+    std::ofstream(path) << actual;
+    GTEST_SKIP() << "re-pinned " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing golden file " << path;
+  std::stringstream expected;
+  expected << in.rdbuf();
+
+  if (kRecordingToolchain) {
+    ASSERT_EQ(expected.str(), actual) << "golden mismatch in " << path;
+    return;
+  }
+  const std::vector<std::string> want = Lines(expected.str());
+  const std::vector<std::string> got = Lines(actual);
+  ASSERT_EQ(want.size(), got.size()) << path;
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (want[i].rfind("digest ", 0) == 0) continue;
+    EXPECT_TRUE(TokensMatch(want[i], got[i]))
+        << path << ":" << (i + 1) << "\n  want: " << want[i]
+        << "\n  got:  " << got[i];
+  }
 }
 
 }  // namespace test_util
