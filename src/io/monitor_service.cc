@@ -78,10 +78,17 @@ int ParseInt(const std::string& token, const char* what) {
   return v;
 }
 
+/// The feature tokens from `from` on; there must be exactly `expected`
+/// (the schema width) — a short or long vector would be silently misread.
 std::vector<double> ParseFeatures(const std::vector<std::string>& tokens,
-                                  size_t from) {
+                                  size_t from, int expected) {
   if (from >= tokens.size()) {
     throw std::invalid_argument("missing feature values");
+  }
+  if (tokens.size() - from != static_cast<size_t>(expected)) {
+    throw std::invalid_argument(
+        "expected " + std::to_string(expected) + " features, got " +
+        std::to_string(tokens.size() - from));
   }
   std::vector<double> features;
   features.reserve(tokens.size() - from);
@@ -130,7 +137,8 @@ std::string MonitorService::Dispatch(const std::string& request) {
       throw std::invalid_argument("usage: PREDICT <key> <features...>");
     }
     uint64_t key = ParseU64(tokens[1], "key");
-    return FormatPrediction(monitor_->Predict(key, ParseFeatures(tokens, 2)));
+    return FormatPrediction(monitor_->Predict(
+        key, ParseFeatures(tokens, 2, monitor_->schema().num_features)));
   }
 
   if (command == "FEED") {
@@ -140,7 +148,8 @@ std::string MonitorService::Dispatch(const std::string& request) {
     uint64_t key = ParseU64(tokens[1], "key");
     Instance instance;
     instance.label = ParseInt(tokens[2], "label");
-    instance.features = ParseFeatures(tokens, 3);
+    instance.features =
+        ParseFeatures(tokens, 3, monitor_->schema().num_features);
     monitor_->Feed(key, instance);
     return "OK";
   }

@@ -26,8 +26,9 @@ namespace io {
 ///   LOAD <shard>\n<state image bytes>  -> OK
 ///
 /// Keys and ids are non-negative integers (a leading '-' is rejected, not
-/// wrapped modulo 2^64) and feature values must be finite (nan/inf are
-/// rejected: one such value silently wrecks a shard's windowed metrics).
+/// wrapped modulo 2^64), feature values must be finite (nan/inf are
+/// rejected: one such value silently wrecks a shard's windowed metrics),
+/// and PREDICT/FEED must carry exactly the schema's feature count.
 /// Every failure — unknown command, malformed number, engine/API errors —
 /// is caught and answered as "ERR <message>": a bad request must never
 /// take down the serving process. Thread-safety is inherited from the

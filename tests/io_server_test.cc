@@ -225,6 +225,10 @@ TEST_F(MonitorServiceTest, MalformedRequestsReturnErrNeverThrow) {
       "PREDICT 7 1 -inf",        // Non-finite feature.
       "PREDICT -1 1 2",          // Negative key (stoull would wrap it).
       "LABEL 0 -1 0",            // Negative id (stoull would wrap it).
+      "FEED 7 1 0.5 2",          // 2 features on a 6-feature schema.
+      "FEED 7 1 1 2 3 4 5 6 7",  // 7 features on a 6-feature schema.
+      "PREDICT 7 0.5",           // 1 feature on a 6-feature schema.
+      "PREDICT 7 1 2 3 4 5 6 7", // 7 features on a 6-feature schema.
       "LABEL 0 1",               // Wrong arity.
       "LABEL 99 1 0",            // Shard out of range.
       "PERSIST",                 // No directory configured.
