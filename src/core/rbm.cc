@@ -16,6 +16,86 @@ double Softplus(double x) {
   return std::log1p(std::exp(x));
 }
 
+void SigmoidInto(const std::vector<double>& x, std::vector<double>* out) {
+  out->resize(x.size());
+  for (size_t j = 0; j < x.size(); ++j) (*out)[j] = Sigmoid(x[j]);
+}
+
+/// out[c] = init[c] + Σ_r x[r]·m[r·cols + c] over the row-major rows x
+/// cols matrix m: one pass down the rows, each row read contiguously. Every
+/// out[c] still adds its terms in ascending r, and the inner loop runs
+/// across independent outputs, so the compiler can vectorize it without
+/// reassociating any sum. `out` must not alias `x`.
+void ColumnDotsInto(const std::vector<double>& m, size_t rows, size_t cols,
+                    const std::vector<double>& x,
+                    const std::vector<double>& init,
+                    std::vector<double>* out) {
+  std::vector<double>& o = *out;
+  o.assign(init.begin(), init.end());
+  for (size_t r = 0; r < rows; ++r) {
+    const double xr = x[r];
+    const double* row = &m[r * cols];
+    for (size_t c = 0; c < cols; ++c) o[c] += xr * row[c];
+  }
+}
+
+/// out[r] = init[r] + Σ_c x[c]·m[r·cols + c], each row summed in ascending
+/// c. Four rows share a pass with independent accumulators, which breaks
+/// the FP-add latency chain without reassociating any sum. `out` must not
+/// alias `x`.
+void RowDotsInto(const std::vector<double>& m, size_t rows, size_t cols,
+                 const std::vector<double>& x, const std::vector<double>& init,
+                 std::vector<double>* out) {
+  std::vector<double>& o = *out;
+  o.resize(rows);
+  size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const double* m0 = &m[r * cols];
+    const double* m1 = m0 + cols;
+    const double* m2 = m1 + cols;
+    const double* m3 = m2 + cols;
+    double s0 = init[r], s1 = init[r + 1], s2 = init[r + 2], s3 = init[r + 3];
+    for (size_t c = 0; c < cols; ++c) {
+      const double xc = x[c];
+      s0 += xc * m0[c];
+      s1 += xc * m1[c];
+      s2 += xc * m2[c];
+      s3 += xc * m3[c];
+    }
+    o[r] = s0;
+    o[r + 1] = s1;
+    o[r + 2] = s2;
+    o[r + 3] = s3;
+  }
+  for (; r < rows; ++r) {
+    const double* mr = &m[r * cols];
+    double s = init[r];
+    for (size_t c = 0; c < cols; ++c) s += x[c] * mr[c];
+    o[r] = s;
+  }
+}
+
+/// In-place softmax over `logits`.
+void SoftmaxInPlace(std::vector<double>* logits) {
+  double max_logit = -1e300;
+  for (double l : *logits) {
+    if (l > max_logit) max_logit = l;
+  }
+  double total = 0.0;
+  for (double& l : *logits) {
+    l = std::exp(l - max_logit);
+    total += l;
+  }
+  for (double& l : *logits) l /= total;
+}
+
+/// Raw class-balanced weight 1/E_n of a class seen n times, with E_n the
+/// effective number of samples (1 - beta^n) / (1 - beta).
+double RawClassWeight(double beta, double n) {
+  if (n <= 0.0) return 1.0;  // Unseen class: maximal raw weight.
+  return 1.0 / ((1.0 - std::pow(beta, n)) / (1.0 - beta));
+}
+
 }  // namespace
 
 Rbm::Rbm(const Params& params, uint64_t seed) : params_(params), rng_(seed) {
@@ -32,28 +112,40 @@ Rbm::Rbm(const Params& params, uint64_t seed) : params_(params), rng_(seed) {
   class_counts_.assign(z, 0.0);
 }
 
+void Rbm::VisibleDriveInto(const std::vector<double>& v,
+                           std::vector<double>* out) const {
+  ColumnDotsInto(w_, static_cast<size_t>(params_.visible),
+                 static_cast<size_t>(params_.hidden), v, b_, out);
+}
+
+void Rbm::HiddenProbsFromDriveInto(const std::vector<double>& drive,
+                                   const std::vector<double>& z,
+                                   std::vector<double>* out) const {
+  RowDotsInto(u_, static_cast<size_t>(params_.hidden),
+              static_cast<size_t>(params_.classes), z, drive, out);
+  for (double& act : *out) act = Sigmoid(act);
+}
+
+void Rbm::VisibleProbsInto(const std::vector<double>& h,
+                           std::vector<double>* out) const {
+  RowDotsInto(w_, static_cast<size_t>(params_.visible),
+              static_cast<size_t>(params_.hidden), h, a_, out);
+  for (double& act : *out) act = Sigmoid(act);
+}
+
+void Rbm::ClassProbsInto(const std::vector<double>& h,
+                         std::vector<double>* out) const {
+  ColumnDotsInto(u_, static_cast<size_t>(params_.hidden),
+                 static_cast<size_t>(params_.classes), h, c_, out);
+  SoftmaxInPlace(out);
+}
+
 std::vector<double> Rbm::HiddenProbs(const std::vector<double>& v,
                                      const std::vector<double>& z) const {
   std::vector<double> ph;
-  HiddenProbsInto(v, z, &ph);
+  VisibleDriveInto(v, &scratch_.drive);
+  HiddenProbsFromDriveInto(scratch_.drive, z, &ph);
   return ph;
-}
-
-void Rbm::HiddenProbsInto(const std::vector<double>& v,
-                          const std::vector<double>& z,
-                          std::vector<double>* out) const {
-  std::vector<double>& ph = *out;
-  ph.resize(static_cast<size_t>(params_.hidden));
-  for (int j = 0; j < params_.hidden; ++j) {
-    double act = b_[static_cast<size_t>(j)];
-    for (int i = 0; i < params_.visible; ++i) {
-      act += v[static_cast<size_t>(i)] * Wc(i, j);
-    }
-    for (int k = 0; k < params_.classes; ++k) {
-      act += z[static_cast<size_t>(k)] * Uc(j, k);
-    }
-    ph[static_cast<size_t>(j)] = Sigmoid(act);
-  }
 }
 
 std::vector<double> Rbm::VisibleProbs(const std::vector<double>& h) const {
@@ -62,98 +154,51 @@ std::vector<double> Rbm::VisibleProbs(const std::vector<double>& h) const {
   return pv;
 }
 
-void Rbm::VisibleProbsInto(const std::vector<double>& h,
-                           std::vector<double>* out) const {
-  std::vector<double>& pv = *out;
-  pv.resize(static_cast<size_t>(params_.visible));
-  for (int i = 0; i < params_.visible; ++i) {
-    double act = a_[static_cast<size_t>(i)];
-    for (int j = 0; j < params_.hidden; ++j) {
-      act += h[static_cast<size_t>(j)] * Wc(i, j);
-    }
-    pv[static_cast<size_t>(i)] = Sigmoid(act);
-  }
-}
-
 std::vector<double> Rbm::HiddenFromVisible(const std::vector<double>& v) const {
   std::vector<double> ph;
-  HiddenFromVisibleInto(v, &ph);
+  VisibleDriveInto(v, &scratch_.drive);
+  SigmoidInto(scratch_.drive, &ph);
   return ph;
-}
-
-void Rbm::HiddenFromVisibleInto(const std::vector<double>& v,
-                                std::vector<double>* out) const {
-  std::vector<double>& ph = *out;
-  ph.resize(static_cast<size_t>(params_.hidden));
-  for (int j = 0; j < params_.hidden; ++j) {
-    double act = b_[static_cast<size_t>(j)];
-    for (int i = 0; i < params_.visible; ++i) {
-      act += v[static_cast<size_t>(i)] * Wc(i, j);
-    }
-    ph[static_cast<size_t>(j)] = Sigmoid(act);
-  }
 }
 
 std::vector<double> Rbm::ClassReadout(const std::vector<double>& v) const {
   std::vector<double> out;
-  ClassReadoutInto(v, &out);
+  VisibleDriveInto(v, &scratch_.drive);
+  SigmoidInto(scratch_.drive, &scratch_.h2);
+  ClassProbsInto(scratch_.h2, &out);
   return out;
 }
 
-void Rbm::ClassReadoutInto(const std::vector<double>& v,
-                           std::vector<double>* out) const {
-  HiddenFromVisibleInto(v, &scratch_.h2);
-  ClassProbsInto(scratch_.h2, out);
-}
-
 std::vector<double> Rbm::ClassProbs(const std::vector<double>& h) const {
-  std::vector<double> logits;
-  ClassProbsInto(h, &logits);
-  return logits;
+  std::vector<double> probs;
+  ClassProbsInto(h, &probs);
+  return probs;
 }
 
-void Rbm::ClassProbsInto(const std::vector<double>& h,
-                         std::vector<double>* out) const {
-  std::vector<double>& logits = *out;
-  logits.resize(static_cast<size_t>(params_.classes));
-  double max_logit = -1e300;
-  for (int k = 0; k < params_.classes; ++k) {
-    double act = c_[static_cast<size_t>(k)];
-    for (int j = 0; j < params_.hidden; ++j) {
-      act += h[static_cast<size_t>(j)] * Uc(j, k);
-    }
-    logits[static_cast<size_t>(k)] = act;
-    if (act > max_logit) max_logit = act;
-  }
-  double total = 0.0;
-  for (double& l : logits) {
-    l = std::exp(l - max_logit);
-    total += l;
-  }
-  for (double& l : logits) l /= total;
-}
-
-double Rbm::ClassWeight(int y) const {
-  if (!params_.class_balanced) return 1.0;
-  // Effective number of samples E_n = (1 - beta^n) / (1 - beta); raw
-  // weight = 1/E_n. Normalize by the mean raw weight over observed classes
-  // so the global learning-rate scale is unaffected by K or stream length.
-  auto raw = [this](double n) {
-    if (n <= 0.0) return 1.0;  // Unseen class: maximal raw weight.
-    double eff = (1.0 - std::pow(params_.beta, n)) / (1.0 - params_.beta);
-    return 1.0 / eff;
-  };
+double Rbm::MeanRawClassWeight() const {
   double sum = 0.0;
   int seen = 0;
   for (double n : class_counts_) {
     if (n > 0.0) {
-      sum += raw(n);
+      sum += RawClassWeight(params_.beta, n);
       ++seen;
     }
   }
-  if (seen == 0) return 1.0;
-  double mean = sum / seen;
-  double w = raw(class_counts_[static_cast<size_t>(y)]) / mean;
+  // Raw weights are never negative, so -1 is free to mean "none seen".
+  return seen == 0 ? -1.0 : sum / seen;
+}
+
+double Rbm::ClassWeight(int y) const {
+  return ClassWeight(y, MeanRawClassWeight());
+}
+
+double Rbm::ClassWeight(int y, double mean_raw) const {
+  // Normalize the raw weight by the mean raw weight over observed classes
+  // so the global learning-rate scale is unaffected by K or stream length.
+  if (!params_.class_balanced || mean_raw < 0.0) return 1.0;
+  double w =
+      RawClassWeight(params_.beta, class_counts_[static_cast<size_t>(y)]) /
+      mean_raw;
   // Clamp to keep one rare instance from destabilizing the whole model.
   return w > 50.0 ? 50.0 : w;
 }
@@ -188,6 +233,9 @@ void Rbm::TrainBatch(const Instance* batch, size_t count) {
       class_counts_[static_cast<size_t>(s.label)] += 1.0;
     }
   }
+  // The counts stay fixed for the rest of the batch, and so does the mean
+  // the class weights are normalized by.
+  const double mean_raw = MeanRawClassWeight();
 
   std::vector<double>& z0 = scratch_.z0;
   std::vector<double>& h_state = scratch_.h_state;
@@ -199,11 +247,15 @@ void Rbm::TrainBatch(const Instance* batch, size_t count) {
     const std::vector<double>& v0 = s.features;
     std::fill(z0.begin(), z0.end(), 0.0);
     z0[static_cast<size_t>(s.label)] = 1.0;
-    double weight = ClassWeight(s.label);
+    double weight = ClassWeight(s.label, mean_raw);
 
-    // Positive phase: E_data[.] with clamped (v0, z0).
+    // Positive phase: E_data[.] with clamped (v0, z0). The visible drive
+    // d0 is kept for the discriminative step below; W and b do not change
+    // in between.
+    std::vector<double>& d0 = scratch_.d0;
     std::vector<double>& ph0 = scratch_.ph0;
-    HiddenProbsInto(v0, z0, &ph0);
+    VisibleDriveInto(v0, &d0);
+    HiddenProbsFromDriveInto(d0, z0, &ph0);
 
     // Negative phase: CD-k. Hidden states are sampled; visible and class
     // reconstructions use probabilities (standard CD practice).
@@ -212,11 +264,13 @@ void Rbm::TrainBatch(const Instance* batch, size_t count) {
     }
     std::vector<double>& vk = scratch_.vk;
     std::vector<double>& zk = scratch_.zk;
+    std::vector<double>& dk = scratch_.dk;
     std::vector<double>& phk = scratch_.phk;
     for (int step = 0; step < params_.cd_steps; ++step) {
       VisibleProbsInto(h_state, &vk);
       ClassProbsInto(h_state, &zk);
-      HiddenProbsInto(vk, zk, &phk);
+      VisibleDriveInto(vk, &dk);
+      HiddenProbsFromDriveInto(dk, zk, &phk);
       if (step + 1 < params_.cd_steps) {
         for (size_t j = 0; j < h_n; ++j) {
           h_state[j] = rng_.Bernoulli(phk[j]) ? 1.0 : 0.0;
@@ -248,30 +302,43 @@ void Rbm::TrainBatch(const Instance* batch, size_t count) {
     // track p(y|x) sharply enough for Eq. 26's label term to carry signal.
     if (params_.discriminative_rate > 0.0) {
       std::vector<double>& hv = scratch_.hv;
-      std::vector<double>& py = scratch_.py;
-      HiddenFromVisibleInto(v0, &hv);
-      ClassProbsInto(hv, &py);
+      std::vector<double>& err = scratch_.err;
+      SigmoidInto(d0, &hv);
+      ClassProbsInto(hv, &err);
+      for (size_t k = 0; k < z_n; ++k) err[k] = z0[k] - err[k];
       // Per-instance SGD step (unlike the CD update, which is a batch
       // mean); the cost clamp keeps extreme minority weights from blowing
       // up a single step.
       double dlr = params_.discriminative_rate * std::min(weight, 5.0);
-      std::vector<double>& dh = scratch_.dh;
-      dh.assign(h_n, 0.0);
       for (size_t k = 0; k < z_n; ++k) {
-        double err = z0[k] - py[k];
-        if (err == 0.0) continue;
-        c_[k] += dlr * err;
-        for (size_t j = 0; j < h_n; ++j) {
-          dh[j] += err * Uc(static_cast<int>(j), static_cast<int>(k));
-          U(static_cast<int>(j), static_cast<int>(k)) += dlr * err * hv[j];
-        }
+        if (err[k] != 0.0) c_[k] += dlr * err[k];
       }
+      // Row by row over U: dh_j backpropagates err through U as it was
+      // before this step. A zero err_k contributes nothing and leaves
+      // U_jk unwritten (the selects keep that exact, signed zeros
+      // included).
+      std::vector<double>& g = scratch_.g;
+      g.resize(h_n);
       for (size_t j = 0; j < h_n; ++j) {
-        double g = dh[j] * hv[j] * (1.0 - hv[j]);
-        if (g == 0.0) continue;
-        b_[j] += dlr * g;
-        for (size_t i = 0; i < v_n; ++i) {
-          W(static_cast<int>(i), static_cast<int>(j)) += dlr * g * v0[i];
+        const double hj = hv[j];
+        double* row = &u_[j * z_n];
+        double dh = 0.0;
+        for (size_t k = 0; k < z_n; ++k) {
+          const double e = err[k];
+          const double ujk = row[k];
+          dh += e != 0.0 ? e * ujk : 0.0;
+          row[k] = e != 0.0 ? ujk + dlr * e * hj : ujk;
+        }
+        g[j] = dh * hj * (1.0 - hj);
+        if (g[j] != 0.0) b_[j] += dlr * g[j];
+      }
+      // Row by row over W; a zero g_j leaves column j unwritten.
+      for (size_t i = 0; i < v_n; ++i) {
+        const double vi = v0[i];
+        double* row = &w_[i * h_n];
+        for (size_t j = 0; j < h_n; ++j) {
+          const double wij = row[j];
+          row[j] = g[j] != 0.0 ? wij + dlr * g[j] * vi : wij;
         }
       }
     }
@@ -289,12 +356,17 @@ double Rbm::ReconstructionError(const std::vector<double>& x, int y) const {
   std::vector<double>& z = scratch_.z;
   z.assign(static_cast<size_t>(params_.classes), 0.0);
   if (y >= 0 && y < params_.classes) z[static_cast<size_t>(y)] = 1.0;
+  // One visible drive serves both hidden passes below.
+  std::vector<double>& drive = scratch_.drive;
   std::vector<double>& h = scratch_.h;
+  std::vector<double>& hv = scratch_.h2;
   std::vector<double>& xr = scratch_.xr;
   std::vector<double>& zr = scratch_.zr;
-  HiddenProbsInto(x, z, &h);  // Mean-field h | v, z (Eq. 25).
-  VisibleProbsInto(h, &xr);   // Eq. 23.
-  ClassReadoutInto(x, &zr);   // Eq. 24, read out from v.
+  VisibleDriveInto(x, &drive);
+  HiddenProbsFromDriveInto(drive, z, &h);  // Mean-field h | v, z (Eq. 25).
+  VisibleProbsInto(h, &xr);                // Eq. 23.
+  SigmoidInto(drive, &hv);                 // h | v alone ...
+  ClassProbsInto(hv, &zr);                 // ... read out: Eq. 24.
   double sq = 0.0;
   for (int i = 0; i < params_.visible; ++i) {
     double d = x[static_cast<size_t>(i)] - xr[static_cast<size_t>(i)];
@@ -310,41 +382,19 @@ double Rbm::ReconstructionError(const std::vector<double>& x, int y) const {
 }
 
 std::vector<double> Rbm::ClassifyProbs(const std::vector<double>& x) const {
-  std::vector<double> logits;
-  ClassifyProbsInto(x, &logits);
-  return logits;
-}
-
-void Rbm::ClassifyProbsInto(const std::vector<double>& x,
-                            std::vector<double>* out) const {
   // Free-energy discriminative read-out:
-  //   log P(y|x) ∝ c_y + sum_j softplus(b_j + W_.j x + u_jy).
-  std::vector<double>& base = scratch_.base;
-  base.resize(static_cast<size_t>(params_.hidden));
-  for (int j = 0; j < params_.hidden; ++j) {
-    double act = b_[static_cast<size_t>(j)];
-    for (int i = 0; i < params_.visible; ++i) {
-      act += x[static_cast<size_t>(i)] * Wc(i, j);
-    }
-    base[static_cast<size_t>(j)] = act;
+  //   log P(y|x) ∝ c_y + sum_j softplus(b_j + W_.j x + u_jy),
+  // accumulated row by row over U, each logit in ascending j.
+  const size_t z_n = static_cast<size_t>(params_.classes);
+  std::vector<double>& base = scratch_.drive;
+  VisibleDriveInto(x, &base);
+  std::vector<double> logits(c_);
+  for (size_t j = 0; j < base.size(); ++j) {
+    const double* row = &u_[j * z_n];
+    for (size_t k = 0; k < z_n; ++k) logits[k] += Softplus(base[j] + row[k]);
   }
-  std::vector<double>& logits = *out;
-  logits.resize(static_cast<size_t>(params_.classes));
-  double max_logit = -1e300;
-  for (int k = 0; k < params_.classes; ++k) {
-    double l = c_[static_cast<size_t>(k)];
-    for (int j = 0; j < params_.hidden; ++j) {
-      l += Softplus(base[static_cast<size_t>(j)] + Uc(j, k));
-    }
-    logits[static_cast<size_t>(k)] = l;
-    if (l > max_logit) max_logit = l;
-  }
-  double total = 0.0;
-  for (double& l : logits) {
-    l = std::exp(l - max_logit);
-    total += l;
-  }
-  for (double& l : logits) l /= total;
+  SoftmaxInPlace(&logits);
+  return logits;
 }
 
 double Rbm::Energy(const std::vector<double>& v, const std::vector<double>& h,

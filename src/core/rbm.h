@@ -71,27 +71,6 @@ class Rbm {
   /// Softmax class activations given h, Eq. 12.
   std::vector<double> ClassProbs(const std::vector<double>& h) const;
 
-  /// Allocation-free forms of the feed-forward passes above: each writes
-  /// into `out` (resized in place, capacity reused) with arithmetic
-  /// bit-identical to its by-value sibling. These are the per-push hot
-  /// path — ReconstructionError() and TrainBatch() route everything
-  /// through reused scratch so a trained, steady-state RBM performs no
-  /// heap allocation per evaluated instance. `out` must not alias `v`,
-  /// `z`, or `h`.
-  void HiddenProbsInto(const std::vector<double>& v,
-                       const std::vector<double>& z,
-                       std::vector<double>* out) const;
-  void VisibleProbsInto(const std::vector<double>& h,
-                        std::vector<double>* out) const;
-  void HiddenFromVisibleInto(const std::vector<double>& v,
-                             std::vector<double>* out) const;
-  void ClassReadoutInto(const std::vector<double>& v,
-                        std::vector<double>* out) const;
-  void ClassProbsInto(const std::vector<double>& h,
-                      std::vector<double>* out) const;
-  void ClassifyProbsInto(const std::vector<double>& x,
-                         std::vector<double>* out) const;
-
   /// Reconstruction error R(S_n^m) of Eq. 26, normalized by sqrt(V + Z)
   /// into [0,1] so downstream change detection sees a bounded signal. The
   /// feature part reconstructs x~ through the label-clamped pass (Eq. 25,
@@ -127,23 +106,56 @@ class Rbm {
   void LoadState(io::Reader& reader);
 
  private:
-  double& W(int i, int j) { return w_[static_cast<size_t>(i) * params_.hidden + j]; }
+  // Kernel contract. The dense kernels below walk w_ (V x H) and u_
+  // (H x Z) row by row, reading each row contiguously, yet every output
+  // is the same sum as the textbook formula in the same order: each dot
+  // product starts from its bias and adds its terms in ascending index,
+  // with no reassociation (no -ffast-math, no FMA, no tree or SIMD
+  // reductions across terms; vectorizing across independent outputs is
+  // fine). That keeps every result bit-identical to the straightforward
+  // loops, which tests/golden/rbm_kernels.txt and the paper-protocol
+  // golden files pin. The `out` buffers are resized in place (capacity
+  // reused) and must not alias an input; the hot paths write only into
+  // scratch_, so a trained, steady-state RBM performs no heap allocation
+  // per evaluated instance.
+
+  /// The visible layer's drive on the hidden units:
+  /// out_j = b_j + sum_i v_i W_ij.
+  void VisibleDriveInto(const std::vector<double>& v,
+                        std::vector<double>* out) const;
+  /// Eq. 10 from a precomputed drive: out_j = σ(drive_j + sum_k z_k U_jk).
+  void HiddenProbsFromDriveInto(const std::vector<double>& drive,
+                                const std::vector<double>& z,
+                                std::vector<double>* out) const;
+  /// Eq. 11.
+  void VisibleProbsInto(const std::vector<double>& h,
+                        std::vector<double>* out) const;
+  /// Eq. 12.
+  void ClassProbsInto(const std::vector<double>& h,
+                      std::vector<double>* out) const;
+
   double Wc(int i, int j) const {
     return w_[static_cast<size_t>(i) * params_.hidden + j];
   }
-  double& U(int j, int k) { return u_[static_cast<size_t>(j) * params_.classes + k]; }
   double Uc(int j, int k) const {
     return u_[static_cast<size_t>(j) * params_.classes + k];
   }
+
+  /// Mean raw (1/E_n) weight over the observed classes; -1 when no class
+  /// has been observed yet.
+  double MeanRawClassWeight() const;
+  /// ClassWeight(y) given MeanRawClassWeight(), so a batch pays for the
+  /// mean once.
+  double ClassWeight(int y, double mean_raw) const;
 
   /// Reused feed-forward / CD buffers so the hot paths never allocate.
   /// Pure scratch: every vector is fully rewritten before it is read, so
   /// the buffers carry no model state and never serialize.
   struct Scratch {
-    std::vector<double> z, h, h2, xr, zr, base;       // Feed-forward.
+    std::vector<double> z, drive, h, h2, xr, zr;      // Feed-forward.
     std::vector<double> gw, gu, ga, gb, gc;           // CD gradients.
-    std::vector<double> z0, h_state, ph0, vk, zk, phk;  // Gibbs chain.
-    std::vector<double> hv, py, dh;                   // Discriminative step.
+    std::vector<double> z0, d0, ph0, h_state, vk, zk, dk, phk;  // Gibbs chain.
+    std::vector<double> hv, err, g;                   // Discriminative step.
   };
 
   Params params_;
