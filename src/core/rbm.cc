@@ -170,9 +170,9 @@ std::vector<double> Rbm::ClassReadout(const std::vector<double>& v) const {
 }
 
 std::vector<double> Rbm::ClassProbs(const std::vector<double>& h) const {
-  std::vector<double> probs;
-  ClassProbsInto(h, &probs);
-  return probs;
+  std::vector<double> logits;
+  ClassProbsInto(h, &logits);
+  return logits;
 }
 
 double Rbm::MeanRawClassWeight() const {

@@ -85,15 +85,15 @@ std::vector<double> ParseFeatures(const std::vector<std::string>& tokens,
   if (from >= tokens.size()) {
     throw std::invalid_argument("missing feature values");
   }
-  if (tokens.size() - from != static_cast<size_t>(expected)) {
-    throw std::invalid_argument(
-        "expected " + std::to_string(expected) + " features, got " +
-        std::to_string(tokens.size() - from));
-  }
   std::vector<double> features;
   features.reserve(tokens.size() - from);
   for (size_t i = from; i < tokens.size(); ++i) {
     features.push_back(ParseDouble(tokens[i], "feature"));
+  }
+  if (features.size() != static_cast<size_t>(expected)) {
+    throw std::invalid_argument("expected " + std::to_string(expected) +
+                                " features, got " +
+                                std::to_string(features.size()));
   }
   return features;
 }

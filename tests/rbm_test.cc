@@ -311,7 +311,9 @@ std::string RenderPinCase(const PinCase& c) {
   out << "case V=" << c.visible << " H=" << c.hidden << " Z=" << c.classes
       << " cd=" << c.cd_steps << " balanced=" << c.class_balanced << "\n";
   out << "class_weight";
-  for (int k = 0; k < c.classes; ++k) out << " " << test_util::G(rbm.ClassWeight(k));
+  for (int k = 0; k < c.classes; ++k) {
+    out << " " << test_util::G(rbm.ClassWeight(k));
+  }
   out << "\n";
   for (int probe = 0; probe < 2; ++probe) {
     const int y = draw_label();
