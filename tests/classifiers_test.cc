@@ -2,11 +2,17 @@
 
 #include <cmath>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "classifiers/cs_perceptron_tree.h"
 #include "classifiers/naive_bayes.h"
 #include "classifiers/perceptron.h"
 #include "generators/rbf.h"
+#include "generators/registry.h"
+#include "io/wire.h"
+#include "testing_util.h"
 #include "utils/rng.h"
 
 namespace ccd {
@@ -236,6 +242,57 @@ TEST(CsPerceptronTreeTest, MulticlassOnRbfConcept) {
     if (tree.Predict(inst) == inst.label) ++correct;
   }
   EXPECT_GT(correct, static_cast<int>(0.75 * n));
+}
+
+// Pin of the cs-ptree outputs (tests/golden/cs_ptree.txt; golden-file rules
+// in tests/testing_util.h). K in {3, 5, 10, 20} covers every remainder of
+// the leaf perceptron's 4-class logit blocks, and every tree has split, so
+// the split check (MaybeSplit's gains and its Hoeffding test) is pinned
+// along with the leaf perceptrons. A 1-ULP change in either fails here. The
+// looser tie threshold lets the wide RBF trees split within a few thousand
+// instances (at the default 0.05, RBF20 first splits after ~52K).
+std::string RenderTreePin(const std::string& name, InstanceStream& stream,
+                          int train, const StreamSchema& schema) {
+  CsPerceptronTree::Params params;
+  params.tie_threshold = 0.1;
+  CsPerceptronTree tree(schema, params);
+  for (int i = 0; i < train; ++i) tree.Train(stream.Next());
+  EXPECT_GT(tree.num_leaves(), 1) << name << ": the tree never split";
+  std::ostringstream out;
+  out << "case " << name << " K=" << schema.num_classes
+      << " d=" << schema.num_features << " train=" << train << "\n";
+  out << "num_leaves " << tree.num_leaves() << " depth " << tree.depth()
+      << "\n";
+  for (int probe = 0; probe < 4; ++probe) {
+    const std::vector<double> scores = tree.PredictScores(stream.Next());
+    out << "scores";
+    for (double v : scores) out << " " << test_util::G(v);
+    out << "\n";
+  }
+  io::Writer w;
+  tree.SaveState(w);
+  out << "digest state_fnv1a " << test_util::Fnv1a(w.data()) << "\n";
+  return out.str();
+}
+
+TEST(CsPerceptronTreeTest, OutputsMatchPin) {
+  std::string actual;
+  const std::pair<const char*, int> rbf_cases[] = {
+      {"RBF5", 6000}, {"RBF10", 10000}, {"RBF20", 15000}};
+  for (const auto& [name, train] : rbf_cases) {
+    const StreamSpec* spec = FindStreamSpec(name);
+    ASSERT_NE(spec, nullptr) << name;
+    BuildOptions options;
+    options.seed = 7;
+    BuiltStream built = BuildStream(*spec, options);
+    actual += RenderTreePin(name, *built.stream, train,
+                            built.stream->schema());
+  }
+  auto three_class = test_util::MakeRbfDriftStream(/*drift_at=*/1u << 30, 5);
+  actual += RenderTreePin("rbf-drift-3", *three_class, 6000,
+                          three_class->schema());
+  test_util::ExpectMatchesGolden(
+      std::string(CCD_GOLDEN_DIR) + "/cs_ptree.txt", actual);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <memory>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "classifiers/naive_bayes.h"
 #include "detectors/ddm.h"
@@ -93,6 +96,83 @@ TEST(BinaryAucTest, TiesGetMidrankCredit) {
 TEST(BinaryAucTest, EmptySideReturnsHalf) {
   EXPECT_DOUBLE_EQ(BinaryAuc({}, {0.1}), 0.5);
   EXPECT_DOUBLE_EQ(BinaryAuc({0.9}, {}), 0.5);
+}
+
+/// The pool-sort-midrank rank-sum estimator, kept verbatim as the
+/// reference BinaryAuc must match bit for bit (and as the pairwise AUC of
+/// the deque oracle below, so the ring-vs-oracle differential also covers
+/// BinaryAuc itself).
+double ReferenceBinaryAuc(const std::vector<double>& positive_scores,
+                          const std::vector<double>& negative_scores) {
+  if (positive_scores.empty() || negative_scores.empty()) return 0.5;
+  std::vector<std::pair<double, int>> pool;
+  pool.reserve(positive_scores.size() + negative_scores.size());
+  for (double s : positive_scores) pool.emplace_back(s, 1);
+  for (double s : negative_scores) pool.emplace_back(s, 0);
+  std::sort(pool.begin(), pool.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  double rank_sum_pos = 0.0;
+  size_t i = 0;
+  while (i < pool.size()) {
+    size_t j = i;
+    while (j + 1 < pool.size() && pool[j + 1].first == pool[i].first) ++j;
+    double midrank = 0.5 * static_cast<double>(i + j) + 1.0;
+    for (size_t m = i; m <= j; ++m) {
+      if (pool[m].second == 1) rank_sum_pos += midrank;
+    }
+    i = j + 1;
+  }
+  double np = static_cast<double>(positive_scores.size());
+  double nn = static_cast<double>(negative_scores.size());
+  return (rank_sum_pos - np * (np + 1.0) / 2.0) / (np * nn);
+}
+
+TEST(BinaryAucTest, MatchesRankSumReference) {
+  Rng rng(17);
+  // Continuous scores, or scores quantized to three levels (heavy ties).
+  auto draw = [&rng](size_t n, double shift, bool quantized) {
+    std::vector<double> v(n);
+    for (double& x : v) {
+      x = rng.NextDouble() + shift;
+      if (quantized) x = std::floor(x * 3.0) / 3.0;
+    }
+    return v;
+  };
+  struct Case {
+    size_t n_pos, n_neg;
+    bool quantized;
+  };
+  const Case cases[] = {{1, 1000, false},   {1000, 1, false},
+                        {1, 1000, true},    {1000, 1, true},
+                        {3, 997, false},    {500, 500, false},
+                        {500, 500, true},   {250, 750, true},
+                        {7, 13, false},     {2, 2, true}};
+  for (const Case& c : cases) {
+    for (double shift : {0.0, 0.3}) {
+      std::vector<double> pos = draw(c.n_pos, shift, c.quantized);
+      std::vector<double> neg = draw(c.n_neg, 0.0, c.quantized);
+      ASSERT_EQ(BinaryAuc(pos, neg), ReferenceBinaryAuc(pos, neg))
+          << c.n_pos << " vs " << c.n_neg << " quantized=" << c.quantized
+          << " shift=" << shift;
+    }
+  }
+  // Signed zeros compare equal, so they tie.
+  const std::vector<double> zeros_pos = {0.0, -0.0, 0.5, -0.0};
+  const std::vector<double> zeros_neg = {-0.0, 0.0, 0.0, 0.25, -0.5};
+  ASSERT_EQ(BinaryAuc(zeros_pos, zeros_neg),
+            ReferenceBinaryAuc(zeros_pos, zeros_neg));
+  ASSERT_EQ(BinaryAuc(zeros_neg, zeros_pos),
+            ReferenceBinaryAuc(zeros_neg, zeros_pos));
+  // All scores equal, on both lopsided sides.
+  const std::vector<double> one(1, 0.5), many(999, 0.5);
+  ASSERT_EQ(BinaryAuc(one, many), ReferenceBinaryAuc(one, many));
+  ASSERT_EQ(BinaryAuc(many, one), ReferenceBinaryAuc(many, one));
+  ASSERT_EQ(BinaryAuc(many, many), ReferenceBinaryAuc(many, many));
+  // Empty sides.
+  const std::vector<double> empty;
+  ASSERT_EQ(BinaryAuc(empty, many), ReferenceBinaryAuc(empty, many));
+  ASSERT_EQ(BinaryAuc(many, empty), ReferenceBinaryAuc(many, empty));
+  ASSERT_EQ(BinaryAuc(empty, empty), ReferenceBinaryAuc(empty, empty));
 }
 
 // ---------------------------------------------------------- windowed metrics
@@ -224,7 +304,7 @@ class DequeWindowedMetricsOracle {
              by_class[static_cast<size_t>(j)]) {
           neg.push_back(score_ratio(e));
         }
-        auc_sum += BinaryAuc(pos, neg);
+        auc_sum += ReferenceBinaryAuc(pos, neg);
         ++pairs;
       }
     }

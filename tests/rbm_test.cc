@@ -257,15 +257,6 @@ struct PinCase {
   bool class_balanced;
 };
 
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 void RenderVec(std::ostringstream& out, const char* name,
                const std::vector<double>& v) {
   out << name;
@@ -334,7 +325,7 @@ std::string RenderPinCase(const PinCase& c) {
   }
   io::Writer w;
   rbm.SaveState(w);
-  out << "digest state_fnv1a " << Fnv1a(w.data()) << "\n";
+  out << "digest state_fnv1a " << test_util::Fnv1a(w.data()) << "\n";
   return out.str();
 }
 

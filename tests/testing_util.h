@@ -6,7 +6,7 @@
 // with known behavior, and result/snapshot equality helpers. Everything
 // here is deterministic from its seed so tests can assert bit-identity.
 // Also the golden-file comparison shared by the pinned-output tests
-// (golden_test, rbm_test).
+// (golden_test, rbm_test, classifiers_test).
 
 #include <gtest/gtest.h>
 
@@ -350,6 +350,16 @@ inline std::string G(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+/// FNV-1a of raw bytes (a SaveState image): the "digest " lines of a pin.
+inline uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
 }
 
 inline std::vector<std::string> Lines(const std::string& text) {
