@@ -46,9 +46,11 @@ int CsPerceptronTree::Route(const Instance& instance) const {
   return cur;
 }
 
-double CsPerceptronTree::Entropy(const std::vector<double>& counts) const {
-  double total = 0.0;
-  for (double c : counts) total += c;
+namespace {
+
+/// Entropy (bits) of the class masses `counts`, whose ascending-order sum
+/// is `total`.
+double Entropy(const std::vector<double>& counts, double total) {
   if (total <= 0.0) return 0.0;
   double h = 0.0;
   for (double c : counts) {
@@ -60,36 +62,7 @@ double CsPerceptronTree::Entropy(const std::vector<double>& counts) const {
   return h;
 }
 
-double CsPerceptronTree::SplitGain(const Leaf& leaf, int feature,
-                                   double threshold) const {
-  const size_t k = leaf.class_counts.size();
-  std::vector<double> left(k, 0.0), right(k, 0.0);
-  double total = 0.0;
-  for (size_t c = 0; c < k; ++c) {
-    double n = leaf.class_counts[c];
-    if (n <= 0.0) continue;
-    const Welford& w = leaf.feature_stats[static_cast<size_t>(feature)][c];
-    if (w.count() < 2) {
-      left[c] += n * 0.5;
-      right[c] += n * 0.5;
-    } else {
-      double sd = std::max(std::sqrt(w.Variance()), 1e-3);
-      double p_left = NormalCdf((threshold - w.mean()) / sd);
-      left[c] += n * p_left;
-      right[c] += n * (1.0 - p_left);
-    }
-    total += n;
-  }
-  if (total <= 0.0) return 0.0;
-  double nl = 0.0, nr = 0.0;
-  for (size_t c = 0; c < k; ++c) {
-    nl += left[c];
-    nr += right[c];
-  }
-  double h0 = Entropy(leaf.class_counts);
-  double h_split = (nl / total) * Entropy(left) + (nr / total) * Entropy(right);
-  return h0 - h_split;
-}
+}  // namespace
 
 void CsPerceptronTree::MaybeSplit(int node_index) {
   Node& node = nodes_[static_cast<size_t>(node_index)];
@@ -98,20 +71,72 @@ void CsPerceptronTree::MaybeSplit(int node_index) {
     return;
   }
 
+  // What every candidate shares is computed once per check: the parent
+  // entropy, the class total and each (feature, class) sd. A candidate
+  // only moves the threshold.
+  const std::vector<double>& counts = leaf.class_counts;
+  const size_t k = counts.size();
+  // The parent entropy normalizes by the sum of all counts, the gain by
+  // the sum of the positive ones (they differ only for a loaded state
+  // holding a negative count).
+  double all = 0.0, total = 0.0;
+  for (double n : counts) {
+    all += n;
+    if (n > 0.0) total += n;
+  }
+  if (total <= 0.0) return;  // Every candidate's gain would be 0.
+  const double h0 = Entropy(counts, all);
+  SplitScratch& scratch = split_scratch_;
+  scratch.left.resize(k);
+  scratch.right.resize(k);
+  scratch.sd.resize(leaf.feature_stats.size() * k);
+  for (size_t f = 0; f < leaf.feature_stats.size(); ++f) {
+    for (size_t c = 0; c < k; ++c) {
+      scratch.sd[f * k + c] =
+          std::max(std::sqrt(leaf.feature_stats[f][c].Variance()), 1e-3);
+    }
+  }
+
   // Candidate thresholds: per feature, the class-conditional means.
   double best_gain = 0.0, second_gain = 0.0;
   int best_feature = -1;
   double best_threshold = 0.0;
   for (int f = 0; f < schema_.num_features; ++f) {
-    for (size_t c = 0; c < leaf.class_counts.size(); ++c) {
-      const Welford& w = leaf.feature_stats[static_cast<size_t>(f)][c];
-      if (w.count() < 5) continue;
-      double gain = SplitGain(leaf, f, w.mean());
+    const std::vector<Welford>& stats =
+        leaf.feature_stats[static_cast<size_t>(f)];
+    const double* sd = scratch.sd.data() + static_cast<size_t>(f) * k;
+    for (size_t cand = 0; cand < k; ++cand) {
+      if (stats[cand].count() < 5) continue;
+      const double threshold = stats[cand].mean();
+      // Class masses each side of the threshold; nl/nr sum them in
+      // ascending class order, which is also Entropy's total.
+      double nl = 0.0, nr = 0.0;
+      for (size_t c = 0; c < k; ++c) {
+        const double n = counts[c];
+        if (n <= 0.0) {
+          scratch.left[c] = 0.0;
+          scratch.right[c] = 0.0;
+          continue;
+        }
+        if (stats[c].count() < 2) {
+          scratch.left[c] = n * 0.5;
+          scratch.right[c] = n * 0.5;
+        } else {
+          double p_left = NormalCdf((threshold - stats[c].mean()) / sd[c]);
+          scratch.left[c] = n * p_left;
+          scratch.right[c] = n * (1.0 - p_left);
+        }
+        nl += scratch.left[c];
+        nr += scratch.right[c];
+      }
+      const double h_split = (nl / total) * Entropy(scratch.left, nl) +
+                             (nr / total) * Entropy(scratch.right, nr);
+      const double gain = h0 - h_split;
       if (gain > best_gain) {
         second_gain = best_gain;
         best_gain = gain;
         best_feature = f;
-        best_threshold = w.mean();
+        best_threshold = threshold;
       } else if (gain > second_gain) {
         second_gain = gain;
       }

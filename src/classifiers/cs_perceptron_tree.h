@@ -81,18 +81,28 @@ class CsPerceptronTree : public OnlineClassifier {
     std::unique_ptr<Leaf> leaf;
   };
 
+  /// Per-check buffers of MaybeSplit, reused so a check never allocates.
+  struct SplitScratch {
+    /// Class masses routed left/right by the candidate being scored.
+    std::vector<double> left, right;
+    /// sd[f * K + c]: the clamped sd of feature f under class c (read
+    /// only when that Gaussian has at least 2 samples).
+    std::vector<double> sd;
+  };
+
   int Route(const Instance& instance) const;
   void InitLeaf(Node* node);
+  /// Scores every candidate split of the leaf at `node_index` by
+  /// information gain under class-conditional Gaussian feature models and
+  /// splits when the Hoeffding test allows it.
   void MaybeSplit(int node_index);
-  double Entropy(const std::vector<double>& counts) const;
-  /// Information gain of splitting `leaf` on (feature, threshold) with
-  /// class-conditional Gaussian feature models.
-  double SplitGain(const Leaf& leaf, int feature, double threshold) const;
 
   StreamSchema schema_;
   Params params_;
   std::vector<Node> nodes_;
   int num_leaves_ = 0;
+  // ccd:state-skip(split_scratch_, transient split-check scratch fully rewritten by every MaybeSplit; holds no learned state)
+  SplitScratch split_scratch_;
 };
 
 }  // namespace ccd

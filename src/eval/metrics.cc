@@ -1,40 +1,46 @@
 #include "eval/metrics.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace ccd {
 
 double BinaryAuc(const std::vector<double>& positive_scores,
                  const std::vector<double>& negative_scores) {
-  std::vector<std::pair<double, int>> pool;
-  return BinaryAuc(positive_scores, negative_scores, pool);
+  std::vector<double> sorted;
+  return BinaryAuc(positive_scores, negative_scores, sorted);
 }
 
 double BinaryAuc(const std::vector<double>& positive_scores,
                  const std::vector<double>& negative_scores,
-                 std::vector<std::pair<double, int>>& pool) {
+                 std::vector<double>& sorted) {
   if (positive_scores.empty() || negative_scores.empty()) return 0.5;
-  // Pool, sort, midrank; AUC = (rank_sum_pos - n_pos(n_pos+1)/2) / (n_pos*n_neg).
-  pool.clear();
-  pool.reserve(positive_scores.size() + negative_scores.size());
-  for (double s : positive_scores) pool.emplace_back(s, 1);
-  for (double s : negative_scores) pool.emplace_back(s, 0);
-  std::sort(pool.begin(), pool.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  double rank_sum_pos = 0.0;
-  size_t i = 0;
-  while (i < pool.size()) {
-    size_t j = i;
-    while (j + 1 < pool.size() && pool[j + 1].first == pool[i].first) ++j;
-    double midrank = 0.5 * static_cast<double>(i + j) + 1.0;
-    for (size_t m = i; m <= j; ++m) {
-      if (pool[m].second == 1) rank_sum_pos += midrank;
-    }
-    i = j + 1;
+  // The rank-sum numerator rank_sum_pos - n_pos(n_pos+1)/2 with midranks
+  // is the Mann-Whitney U: #{pos > neg} + #{pos == neg}/2 over all pairs.
+  // Count it by sorting only the smaller side and binary-searching each
+  // score of the larger side into it. 2U is an integer, so U is exact and
+  // the division below is bit-identical to the pool-sort-midrank form.
+  const bool pos_smaller = positive_scores.size() <= negative_scores.size();
+  const std::vector<double>& small =
+      pos_smaller ? positive_scores : negative_scores;
+  const std::vector<double>& large =
+      pos_smaller ? negative_scores : positive_scores;
+  sorted.assign(small.begin(), small.end());
+  std::sort(sorted.begin(), sorted.end());
+  // Pairs whose smaller-side score is below / equal to the larger side's.
+  uint64_t below = 0, ties = 0;
+  for (double s : large) {
+    const auto [lo, hi] = std::equal_range(sorted.begin(), sorted.end(), s);
+    below += static_cast<uint64_t>(lo - sorted.begin());
+    ties += static_cast<uint64_t>(hi - lo);
   }
+  const uint64_t pairs =
+      static_cast<uint64_t>(small.size()) * static_cast<uint64_t>(large.size());
+  const uint64_t twice_u =
+      pos_smaller ? 2 * (pairs - below) - ties : 2 * below + ties;
   double np = static_cast<double>(positive_scores.size());
   double nn = static_cast<double>(negative_scores.size());
-  return (rank_sum_pos - np * (np + 1.0) / 2.0) / (np * nn);
+  return 0.5 * static_cast<double>(twice_u) / (np * nn);
 }
 
 WindowedMetrics::WindowedMetrics(int num_classes, int window)
@@ -119,7 +125,7 @@ double WindowedMetrics::PmAuc() const {
       for (size_t n = 0; n < bj.count; ++n) {
         neg_scratch_.push_back(score_ratio(ring_[bj.At(n)]));
       }
-      auc_sum += BinaryAuc(pos_scratch_, neg_scratch_, pool_scratch_);
+      auc_sum += BinaryAuc(pos_scratch_, neg_scratch_, sorted_scratch_);
       ++pairs;
     }
   }

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "eval/confusion.h"
@@ -33,8 +32,11 @@ class WindowedMetrics {
 
   /// pmAUC over the current window: mean over ordered class pairs (i < j),
   /// restricted to pairs with at least one instance of each class, of the
-  /// pairwise AUC computed from normalized score ratios. O(W log W) — call
-  /// at a sampling interval, not per instance.
+  /// pairwise AUC computed from normalized score ratios. A pair with n_i
+  /// and n_j window entries costs O((n_i + n_j) log min(n_i, n_j)) (see
+  /// BinaryAuc), so a call is O(K W log W) at worst and close to O(K W)
+  /// when most classes are rare — call at a sampling interval, not per
+  /// instance.
   double PmAuc() const;
 
   /// pmGM over the current window (Laplace-smoothed recalls; see
@@ -99,20 +101,25 @@ class WindowedMetrics {
   /// PmAuc scratch (reused across pairs and calls; no metric state).
   mutable std::vector<double> pos_scratch_;
   mutable std::vector<double> neg_scratch_;
-  mutable std::vector<std::pair<double, int>> pool_scratch_;
+  mutable std::vector<double> sorted_scratch_;
 };
 
 /// AUC of binary scores-vs-labels via the rank-sum estimator (midranks for
 /// ties). `positive_scores` are scores of true positives; `negative_scores`
-/// of true negatives. Returns 0.5 when either side is empty.
+/// of true negatives. Returns 0.5 when either side is empty. Counts the
+/// Mann-Whitney U by sorting the smaller side and binary-searching the
+/// larger side's scores into it: O((n_pos + n_neg) log min(n_pos, n_neg)),
+/// bit-identical to pooling, sorting and summing midranks. NaN scores have
+/// no rank, so their result is unspecified.
 double BinaryAuc(const std::vector<double>& positive_scores,
                  const std::vector<double>& negative_scores);
 
-/// Scratch-buffer overload for allocation-free callers: `pool` is cleared
-/// and reused for the rank pooling (capacity persists across calls).
+/// Scratch-buffer overload for allocation-free callers: `sorted` is
+/// overwritten with the smaller side's sorted scores (capacity persists
+/// across calls).
 double BinaryAuc(const std::vector<double>& positive_scores,
                  const std::vector<double>& negative_scores,
-                 std::vector<std::pair<double, int>>& pool);
+                 std::vector<double>& sorted);
 
 }  // namespace ccd
 

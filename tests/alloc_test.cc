@@ -20,14 +20,17 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/component_registry.h"
 #include "api/monitor.h"
+#include "classifiers/cs_perceptron_tree.h"
 #include "eval/engine.h"
 #include "eval/prequential.h"
 #include "stream/stream.h"
 #include "testing_util.h"
+#include "utils/rng.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define CCD_ALLOC_TEST_DISABLED 1
@@ -206,6 +209,35 @@ TEST(AllocTest, FeedIsAllocationFreeWithRbmIm) {
       << with_boundaries << " allocations across " << boundaries
       << " batch boundaries — per-instance allocation crept back into "
          "RbmIm::ProcessBatch";
+}
+
+TEST(AllocTest, CsPerceptronTreeSplitCheckIsAllocationFree) {
+  CCD_ALLOC_GUARD();
+  // cs-ptree, the serving default, runs a split check every grace_period
+  // (200) trains: a gain for every (feature, class-mean) candidate. On
+  // label-independent features no candidate ever wins, so the tree stays
+  // one leaf and every check runs to completion on member scratch.
+  StreamSchema schema(6, 3);
+  CsPerceptronTree tree(schema);
+  Rng rng(23);
+  std::vector<Instance> data;
+  for (int i = 0; i < 1300; ++i) {
+    std::vector<double> x(6);
+    for (double& v : x) v = rng.NextDouble();
+    data.emplace_back(std::move(x), rng.UniformInt(0, 2));
+  }
+  constexpr size_t kTreeWarm = 300;  // Past the first check (at 200).
+  for (size_t i = 0; i < kTreeWarm; ++i) tree.Train(data[i]);
+  ASSERT_EQ(tree.num_leaves(), 1);
+
+  // 1000 trains = 5 split checks.
+  const uint64_t allocations = AllocationsDuring([&] {
+    for (size_t i = kTreeWarm; i < data.size(); ++i) tree.Train(data[i]);
+  });
+  ASSERT_EQ(tree.num_leaves(), 1) << "a split would allocate two leaves";
+  EXPECT_EQ(allocations, 0u)
+      << allocations << " allocations across 1000 cs-ptree Train() calls "
+      << "(5 split checks)";
 }
 
 TEST(AllocTest, FeedBatchIsAllocationFree) {

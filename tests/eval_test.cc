@@ -154,6 +154,8 @@ TEST(BinaryAucTest, MatchesRankSumReference) {
       ASSERT_EQ(BinaryAuc(pos, neg), ReferenceBinaryAuc(pos, neg))
           << c.n_pos << " vs " << c.n_neg << " quantized=" << c.quantized
           << " shift=" << shift;
+      std::vector<double> scratch;
+      ASSERT_EQ(BinaryAuc(pos, neg, scratch), ReferenceBinaryAuc(pos, neg));
     }
   }
   // Signed zeros compare equal, so they tie.
