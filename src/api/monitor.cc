@@ -41,6 +41,11 @@ void Monitor::FeedBatch(const std::vector<Instance>& batch) {
 
 void Monitor::PredictBatch(const std::vector<Instance>& batch,
                            std::vector<Prediction>* out) {
+  // Whole batch first, as MonitorEngine::PredictBatch does.
+  for (const Instance& instance : batch) {
+    RequireFeatureCount(engine_->schema(), instance.features,
+                        "Monitor::PredictBatch");
+  }
   out->resize(batch.size());
   MonitorEngine::Ticket t;  // Reused: scores capacity survives iterations.
   for (size_t i = 0; i < batch.size(); ++i) {

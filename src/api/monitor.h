@@ -59,7 +59,10 @@ class Monitor {
   /// Prediction path: score `features` with the classifier as trained so
   /// far, park the prediction for its future label, return it. When the
   /// pending buffer is full the oldest prediction is evicted and counted —
-  /// see evicted(). Throws std::logic_error while paused.
+  /// see evicted(). Throws std::logic_error while paused, and
+  /// std::invalid_argument (before touching any state) when `features`
+  /// does not have exactly the schema's feature count; Feed() and the
+  /// batch forms check the same, a batch whole before applying any of it.
   Prediction Predict(const std::vector<double>& features, double weight = 1.0);
 
   /// Label path: completes the parked prediction `id` with the true label

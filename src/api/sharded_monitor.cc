@@ -130,6 +130,10 @@ bool ShardedMonitor::Label(int shard, uint64_t id, int true_label) {
 }
 
 bool ShardedMonitor::FeedAsync(uint64_t key, const Instance& instance) {
+  // Checked at enqueue: a queued instance is applied later, inside some
+  // other caller's drain or a Persist, where its error would surface.
+  RequireFeatureCount(schema_, instance.features,
+                      "ShardedMonitor::FeedAsync");
   runtime::ReaderLock table(&router_.TableMutex());
   const int slot = router_.RouteKey(key);
   Shard& s = *shards_[static_cast<size_t>(slot)];
@@ -147,6 +151,12 @@ void ShardedMonitor::Flush() {
 }
 
 void ShardedMonitor::FeedBatch(const std::vector<KeyedInstance>& batch) {
+  // Validate every element before applying any: a wrong-width element
+  // makes the whole batch a no-op instead of a half-applied one.
+  for (const KeyedInstance& k : batch) {
+    RequireFeatureCount(schema_, k.instance.features,
+                        "ShardedMonitor::FeedBatch");
+  }
   runtime::ReaderLock table(&router_.TableMutex());
   // Partition by destination shard; per-shard order follows batch order.
   std::vector<std::vector<size_t>> by_slot;
@@ -166,6 +176,10 @@ void ShardedMonitor::FeedBatch(const std::vector<KeyedInstance>& batch) {
 
 void ShardedMonitor::PredictBatch(const std::vector<KeyedInstance>& batch,
                                   std::vector<Prediction>* out) {
+  for (const KeyedInstance& k : batch) {
+    RequireFeatureCount(schema_, k.instance.features,
+                        "ShardedMonitor::PredictBatch");
+  }
   out->resize(batch.size());
   runtime::ReaderLock table(&router_.TableMutex());
   std::vector<std::vector<size_t>> by_slot;

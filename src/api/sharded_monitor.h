@@ -122,6 +122,12 @@ class ShardedMonitor {
   ShardedMonitor(ShardedMonitor&&) = delete;
   ShardedMonitor& operator=(ShardedMonitor&&) = delete;
 
+  /// Every push surface below throws std::invalid_argument when an
+  /// instance does not carry exactly schema().num_features features, and
+  /// applies nothing of it: Predict/Feed through the shard's engine,
+  /// FeedAsync before enqueueing, the batch forms for the whole batch
+  /// before routing any element.
+  ///
   /// Routes `key` to its shard and scores `features` there.
   Prediction Predict(uint64_t key, const std::vector<double>& features,
                      double weight = 1.0);

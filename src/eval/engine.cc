@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace ccd {
@@ -48,6 +49,17 @@ class HookScope {
 
 }  // namespace
 
+void RequireFeatureCount(const StreamSchema& schema,
+                         const std::vector<double>& features,
+                         const char* caller) {
+  if (features.size() != static_cast<size_t>(schema.num_features)) {
+    throw std::invalid_argument(
+        std::string(caller) + ": instance has " +
+        std::to_string(features.size()) + " features, schema has " +
+        std::to_string(schema.num_features));
+  }
+}
+
 MonitorEngine::MonitorEngine(const StreamSchema& schema,
                              OnlineClassifier* classifier,
                              DriftDetector* detector,
@@ -87,6 +99,7 @@ void MonitorEngine::Feed(const Instance& instance) {
   if (paused_) {
     throw std::logic_error("MonitorEngine: Feed() on a paused engine");
   }
+  RequireFeatureCount(schema_, instance.features, "MonitorEngine::Feed");
   if (completed_ < config_.warmup) {
     Complete(instance, /*measured=*/false, 0, {});
     return;
@@ -97,6 +110,10 @@ void MonitorEngine::Feed(const Instance& instance) {
 }
 
 void MonitorEngine::FeedBatch(const std::vector<Instance>& batch) {
+  for (const Instance& instance : batch) {
+    RequireFeatureCount(schema_, instance.features,
+                        "MonitorEngine::FeedBatch");
+  }
   for (const Instance& instance : batch) Feed(instance);
 }
 
@@ -113,6 +130,7 @@ void MonitorEngine::Predict(const std::vector<double>& features, double weight,
   if (paused_) {
     throw std::logic_error("MonitorEngine: Predict() on a paused engine");
   }
+  RequireFeatureCount(schema_, features, "MonitorEngine::Predict");
   // Build the prediction directly in its ring slot, reusing the slot's
   // feature/score capacity. When full, the oldest prediction is evicted
   // (its label is the most overdue) and its slot becomes the new back.
@@ -140,6 +158,10 @@ void MonitorEngine::Predict(const std::vector<double>& features, double weight,
 
 void MonitorEngine::PredictBatch(const std::vector<Instance>& batch,
                                  std::vector<Ticket>* out) {
+  for (const Instance& instance : batch) {
+    RequireFeatureCount(schema_, instance.features,
+                        "MonitorEngine::PredictBatch");
+  }
   out->resize(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     Predict(batch[i].features, batch[i].weight, &(*out)[i]);

@@ -25,8 +25,9 @@ struct MetricsSnapshot {
 };
 
 /// Optional event callbacks of a MonitorEngine. All fire synchronously on
-/// the thread driving the engine; metric snapshots (an O(W log W) pmAUC
-/// pass) are only computed for callbacks that are actually installed.
+/// the thread driving the engine; metric snapshots (a full pmAUC pass,
+/// see WindowedMetrics::PmAuc) are only computed for callbacks that are
+/// actually installed.
 ///
 /// Hooks must NOT call back into the engine's mutating surface: they fire
 /// mid-step, while the instance that triggered them is only half applied
@@ -149,6 +150,15 @@ struct LabelRequest {
   int label = 0;
 };
 
+/// Throws std::invalid_argument (naming `caller`) unless `features` has
+/// exactly schema.num_features entries. Every push surface checks this
+/// before touching state: the classifiers would clamp a wrong-width vector
+/// to the shorter length and silently misread it, and a detector that
+/// rejects one throws mid-step, after the metrics window took the outcome.
+void RequireFeatureCount(const StreamSchema& schema,
+                         const std::vector<double>& features,
+                         const char* caller);
+
 /// Push-driven online evaluation engine: one (classifier, detector,
 /// windowed-metrics) triple behind a serving-style surface. The engine
 /// inverts the control flow of the classic pull-based prequential loop —
@@ -199,7 +209,9 @@ class MonitorEngine {
 
   /// Immediate-label fast path: one prequential step (warmup handling,
   /// predict, metrics, detector, drift coupling, train, sampling).
-  /// Throws std::logic_error while paused. Allocation-free in steady state:
+  /// Throws std::logic_error while paused, and std::invalid_argument when
+  /// the instance does not carry exactly schema().num_features features;
+  /// either way before touching any state. Allocation-free in steady state:
   /// scores are computed into a reused scratch buffer
   /// (OnlineClassifier::PredictScoresInto) and the metric window recycles
   /// its entry slots.
@@ -208,13 +220,14 @@ class MonitorEngine {
   /// Batch form of Feed(): applies every instance in order, bit-identical
   /// to the equivalent sequence of Feed() calls (the differential tests
   /// pin this). Exists so callers holding a shard lock can amortize it
-  /// over the whole batch.
+  /// over the whole batch. The feature count of every element is checked
+  /// first, so a wrong-width element rejects the whole batch unapplied.
   void FeedBatch(const std::vector<Instance>& batch);
 
   /// Serving path, prediction side. Scores come from the classifier as it
   /// is *now*; a later Label() completes the step with these scores, so
   /// prequential semantics (test before train) hold under verification
-  /// latency. Throws std::logic_error while paused.
+  /// latency. Throws like Feed() (paused engine, wrong feature count).
   Ticket Predict(const std::vector<double>& features, double weight = 1.0);
 
   /// Allocation-free form of Predict(): fills `out` in place, reusing its
@@ -224,6 +237,7 @@ class MonitorEngine {
 
   /// Batch form of Predict(): one ticket per instance (labels ignored,
   /// weights honored), in order, bit-identical to per-instance calls.
+  /// Validates every element's width first, like FeedBatch().
   /// `out` is resized to the batch and its tickets' capacity reused.
   void PredictBatch(const std::vector<Instance>& batch,
                     std::vector<Ticket>* out);

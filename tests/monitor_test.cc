@@ -712,5 +712,49 @@ TEST(ApiMonitorTest, PauseSnapshotResumeRoundTrip) {
   EXPECT_EQ(monitor.position(), 41u);
 }
 
+// A push whose feature count is not the schema's throws before touching
+// any state. Before the check, RBM-IM's normalizer threw mid-step, after
+// the metrics window had already counted the instance (Result().instances
+// ran ahead of position()), and DDM silently accepted a 9-feature push.
+TEST(ApiMonitorTest, WrongWidthPushesThrowBeforeTouchingState) {
+  for (const char* detector : {"RBM-IM", "DDM"}) {
+    SCOPED_TRACE(detector);
+    api::Monitor monitor = api::MonitorBuilder()
+                               .Schema(6, 3)
+                               .Classifier("naive-bayes")
+                               .Detector(detector)
+                               .Build();
+    auto stream = test_util::MakeRbfDriftStream(/*drift_at=*/1u << 30, 3);
+    for (int i = 0; i < 1000; ++i) monitor.Feed(stream->Next());
+    monitor.Predict(stream->Next().features);
+    const uint64_t position = monitor.position();
+    const uint64_t instances = monitor.Result().instances;
+    ASSERT_EQ(position, 1000u);
+    ASSERT_EQ(instances, 1000u);
+    ASSERT_EQ(monitor.pending(), 1u);
+
+    Instance good = stream->Next();
+    for (size_t width : {0u, 5u, 9u}) {
+      Instance bad = good;
+      bad.features.resize(width, 0.5);
+      EXPECT_THROW(monitor.Feed(bad), std::invalid_argument);
+      EXPECT_THROW(monitor.Predict(bad.features), std::invalid_argument);
+      // A batch is validated whole: the good elements ahead of the bad
+      // one are not applied either.
+      EXPECT_THROW(monitor.FeedBatch({good, good, bad}),
+                   std::invalid_argument);
+      std::vector<api::Monitor::Prediction> out;
+      EXPECT_THROW(monitor.PredictBatch({good, bad}, &out),
+                   std::invalid_argument);
+      EXPECT_EQ(monitor.position(), position);
+      EXPECT_EQ(monitor.Result().instances, instances);
+      EXPECT_EQ(monitor.pending(), 1u);
+    }
+    monitor.Feed(good);
+    EXPECT_EQ(monitor.position(), position + 1);
+    EXPECT_EQ(monitor.Result().instances, instances + 1);
+  }
+}
+
 }  // namespace
 }  // namespace ccd

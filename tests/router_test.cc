@@ -401,6 +401,44 @@ TEST(ShardedMonitorTest, BogusShardIndicesAreOutOfRange) {
   EXPECT_THROW(monitor.ShardSnapshot(-1), std::out_of_range);
 }
 
+// Every ShardedMonitor push surface rejects a wrong-width instance without
+// applying anything. FeedAsync matters most: a queued bad instance would
+// throw later, inside another caller's drain or a Persist.
+TEST(ShardedMonitorTest, WrongWidthPushesThrowBeforeTouchingState) {
+  auto monitor = ServingBuilder(2).Build();
+  const std::vector<KeyedInstance> schedule =
+      MakeKeyedSchedule({1, 2, 3, 4}, 300, 9);
+  for (const KeyedInstance& k : schedule) monitor.Feed(k.key, k.instance);
+  monitor.Predict(1, schedule[0].instance.features);
+  const uint64_t position = monitor.position();
+  const uint64_t instances = monitor.Result().instances;
+  ASSERT_EQ(position, 300u);
+  ASSERT_EQ(monitor.pending(), 1u);
+
+  const Instance& good = schedule[1].instance;
+  for (size_t width : {0u, 5u, 9u}) {
+    Instance bad = good;
+    bad.features.resize(width, 0.5);
+    EXPECT_THROW(monitor.Feed(2, bad), std::invalid_argument);
+    EXPECT_THROW(monitor.Predict(2, bad.features), std::invalid_argument);
+    EXPECT_THROW(monitor.FeedAsync(2, bad), std::invalid_argument);
+    // Batches are validated whole, across shards: nothing is applied.
+    std::vector<api::ShardedMonitor::KeyedInstance> batch = {
+        {1, good}, {2, good}, {3, good}, {4, bad}};
+    EXPECT_THROW(monitor.FeedBatch(batch), std::invalid_argument);
+    std::vector<api::ShardedMonitor::Prediction> out;
+    EXPECT_THROW(monitor.PredictBatch(batch, &out), std::invalid_argument);
+    monitor.Flush();  // Nothing bad was queued, so nothing applies.
+    EXPECT_EQ(monitor.position(), position);
+    EXPECT_EQ(monitor.Result().instances, instances);
+    EXPECT_EQ(monitor.pending(), 1u);
+  }
+  ASSERT_TRUE(monitor.FeedAsync(2, good));
+  monitor.Flush();
+  EXPECT_EQ(monitor.position(), position + 1);
+  EXPECT_EQ(monitor.Result().instances, instances + 1);
+}
+
 // Shard-tagged drift fan-in: every alarm a shard engine raises arrives at
 // the aggregate callback tagged with that shard's id, and the aggregate
 // DriftLog() is exactly the fan-in history.
