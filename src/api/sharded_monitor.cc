@@ -140,14 +140,17 @@ bool ShardedMonitor::FeedAsync(uint64_t key, const Instance& instance) {
   return s.ingress.TryPush(instance);
 }
 
+void ShardedMonitor::FlushShard(int shard) {
+  runtime::ReaderLock table(&router_.TableMutex());
+  router_.RequireSlot(shard);
+  Shard& s = *shards_[static_cast<size_t>(shard)];
+  runtime::MutexLock lock(&s.mu);
+  DrainIngress(s);
+}
+
 void ShardedMonitor::Flush() {
   const int n = router_.slots();
-  for (int i = 0; i < n; ++i) {
-    runtime::ReaderLock table(&router_.TableMutex());
-    Shard& s = *shards_[static_cast<size_t>(i)];
-    runtime::MutexLock lock(&s.mu);
-    DrainIngress(s);
-  }
+  for (int i = 0; i < n; ++i) FlushShard(i);
 }
 
 void ShardedMonitor::FeedBatch(const std::vector<KeyedInstance>& batch) {
@@ -246,6 +249,10 @@ int ShardedMonitor::AddShard() {
 }
 
 void ShardedMonitor::DrainShard(int shard) {
+  // Queued ingress entries belong to the outgoing engine's history: the
+  // backlog drains here while producers keep pushing, the residue below,
+  // before the capture, so the handoff is a consistent cut.
+  FlushShard(shard);
   runtime::WriterLock table(&router_.TableMutex());
   router_.RequireSlot(shard);
   Shard& s = *shards_[static_cast<size_t>(shard)];
@@ -253,8 +260,6 @@ void ShardedMonitor::DrainShard(int shard) {
   // lock is still taken (uncontended) so every guarded access happens
   // under its declared capability.
   runtime::MutexLock lock(&s.mu);
-  // Queued ingress entries belong to the outgoing engine's history:
-  // apply them before the capture so the handoff is a consistent cut.
   DrainIngress(s);
   // Every step that can fail — CaptureEngineState throws for components
   // without CloneState() — runs before the old shard is touched, so a
@@ -326,17 +331,34 @@ io::StateImage ShardedMonitor::MakeShardImage(int shard) const {
 }
 
 void ShardedMonitor::Persist(const std::string& directory) {
-  runtime::WriterLock table(&router_.TableMutex());
-  // Apply queued ingress entries first: the persisted cut must reflect
-  // every accepted FeedAsync (reopened queues start empty).
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard& s = *shards_[i];
-    runtime::MutexLock lock(&s.mu);
-    DrainIngress(s);
-  }
+  runtime::MutexLock persist(&persist_mu_);
+  // A bad directory fails here, before anything is drained or captured.
   io::SnapshotStore store(directory);
-  const uint64_t next_gen = generation_ + 1;
 
+  // Phase 1: the ingress backlog, under the shared table lock — producers
+  // keep pushing while it drains.
+  Flush();
+
+  // Phase 2: the consistent cut. The persisted fleet must reflect every
+  // accepted FeedAsync (reopened queues start empty), so the residue
+  // enqueued since phase 1 drains before each capture.
+  std::vector<io::StateImage> images;
+  {
+    runtime::WriterLock table(&router_.TableMutex());
+    images.reserve(shards_.size());
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      Shard& s = *shards_[i];
+      runtime::MutexLock lock(&s.mu);
+      DrainIngress(s);
+      io::StateImage image = MakeShardImage(static_cast<int>(i));
+      image.state =
+          CaptureEngineState(*s.engine, *s.classifier, s.detector.get());
+      images.push_back(std::move(image));
+    }
+  }
+
+  // Phase 3: encode and write the captured images with the table released.
+  const uint64_t next_gen = generation_ + 1;
   io::Manifest manifest;
   manifest.schema = schema_;
   manifest.classifier = classifier_name_;
@@ -347,15 +369,11 @@ void ShardedMonitor::Persist(const std::string& directory) {
   manifest.config = config_;
   manifest.pending_capacity = pending_capacity_;
   manifest.generation = next_gen;
-  manifest.shards.reserve(shards_.size());
+  manifest.shards.reserve(images.size());
 
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& s = *shards_[i];
-    runtime::MutexLock lock(&s.mu);
-    io::StateImage image = MakeShardImage(static_cast<int>(i));
-    image.state =
-        CaptureEngineState(*s.engine, *s.classifier, s.detector.get());
-    const std::string bytes = io::EncodeStateImage(image);
+  for (size_t i = 0; i < images.size(); ++i) {
+    const std::string bytes = io::EncodeStateImage(images[i]);
+    images[i] = io::StateImage();  // Encoded: release the captured state.
     io::Manifest::ShardFile f;
     f.file = "shard-" + std::to_string(i) + "-g" + std::to_string(next_gen) +
              ".state";
@@ -434,12 +452,14 @@ std::string ShardedMonitor::SerializeShard(int shard) const {
 }
 
 std::string ShardedMonitor::ShipShard(int shard) {
+  // Queued ingress entries must ship with the state — the source pauses
+  // below and would otherwise strand them until a restore. The backlog
+  // drains under the shared table lock, the residue under the exclusive.
+  FlushShard(shard);
   runtime::WriterLock table(&router_.TableMutex());
   router_.RequireSlot(shard);
   Shard& s = *shards_[static_cast<size_t>(shard)];
   runtime::MutexLock lock(&s.mu);
-  // Queued ingress entries must ship with the state — the source pauses
-  // below and would otherwise strand them until a restore.
   DrainIngress(s);
   io::StateImage image = MakeShardImage(shard);
   image.state = CaptureEngineState(*s.engine, *s.classifier, s.detector.get());

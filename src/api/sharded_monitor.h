@@ -220,10 +220,27 @@ class ShardedMonitor {
   /// into place last — the commit point. A crash at any moment leaves the
   /// directory openable at either the previous or the new generation,
   /// never a torn mix; superseded generation files are deleted only after
-  /// the new manifest is durable. Takes the table exclusively (blocks
-  /// until in-flight pushes drain), so the persisted fleet is a
-  /// consistent cut. Throws io::WireError on I/O failure,
-  /// std::logic_error when a component does not implement SaveState().
+  /// the new manifest is durable.
+  ///
+  /// Runs in three phases, so producers stall only for the capture:
+  ///  1. Backlog: each shard's ingress queue is drained under the
+  ///     *shared* table lock plus that shard's lock, as Flush() does —
+  ///     pushes keep flowing, also to the shard being drained.
+  ///  2. Cut: the table is taken exclusively (blocks until in-flight
+  ///     pushes drain) just long enough to drain the residue enqueued
+  ///     since phase 1 and capture every shard's EngineState. This is the
+  ///     persisted position: every push acknowledged before Persist() was
+  ///     called is in it (entries queued for a shipped, paused shard
+  ///     excepted), nothing started after it returned is.
+  ///  3. Write: with the table released, the captured images are encoded,
+  ///     written with fsync, the manifest is committed and the old
+  ///     generation is deleted.
+  ///
+  /// Concurrent Persist() calls serialize on a persist mutex held across
+  /// all three phases (lock order: persist, then table, then slot), so
+  /// each one commits its own generation. Throws io::WireError on I/O
+  /// failure, std::logic_error when a component does not implement
+  /// SaveState().
   void Persist(const std::string& directory);
 
   /// Reopens a monitor persisted by Persist(): validates the manifest and
@@ -243,7 +260,10 @@ class ShardedMonitor {
 
   /// SerializeShard() + Pause() on the source engine, atomically under
   /// the exclusive table lock: the migration-source half of a shard
-  /// handoff. The shipped shard stops serving (pushes routed to it throw
+  /// handoff. The shard's ingress backlog is drained first under the
+  /// shared table lock (producers keep pushing), the residue under the
+  /// exclusive one, so the shipped state holds every accepted FeedAsync.
+  /// The shipped shard stops serving (pushes routed to it throw
   /// std::logic_error) until the operator drains or restores it — exactly
   /// one side of the handoff may accept traffic.
   std::string ShipShard(int shard);
@@ -318,6 +338,12 @@ class ShardedMonitor {
   /// order. Skips a paused (shipped) shard — the entries wait for its
   /// successor.
   void DrainIngress(Shard& s) CCD_REQUIRES(s.mu);
+  /// DrainIngress for shard `shard` under the *shared* table lock plus its
+  /// slot lock (std::out_of_range on a bogus index). Flush() is this over
+  /// every shard, and it is the first phase of every state cut (Persist,
+  /// ShipShard, DrainShard): the backlog drains while producers keep
+  /// pushing, and the exclusive hold that follows drains only the residue.
+  void FlushShard(int shard) CCD_EXCLUDES(router_.TableMutex());
   std::vector<EngineSnapshot> CollectSnapshots() const;
   /// Sums `read(engine)` over all shards, locking one slot at a time —
   /// the shared sweep behind the aggregate counters.
@@ -345,9 +371,11 @@ class ShardedMonitor {
   /// table-then-slot, always.
   std::vector<std::unique_ptr<Shard>> shards_
       CCD_GUARDED_BY(router_.TableMutex());
+  /// Serializes whole Persist() calls; taken before the table lock.
+  runtime::Mutex persist_mu_;
   /// Generation of the last Persist() from this process (Open() resumes
   /// from the manifest's value).
-  uint64_t generation_ CCD_GUARDED_BY(router_.TableMutex()) = 0;
+  uint64_t generation_ CCD_GUARDED_BY(persist_mu_) = 0;
 };
 
 /// Fluent composer of a ShardedMonitor, mirroring api::MonitorBuilder:

@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -35,6 +36,7 @@ namespace {
 using test_util::ExpectBitIdentical;
 using test_util::ExpectSnapshotEq;
 using test_util::MakeRbfDriftStream;
+using test_util::RunProducers;
 using test_util::ShortConfig;
 
 /// A fresh, unique scratch directory per test invocation.
@@ -189,6 +191,98 @@ TEST(PersistOpenTest, RepersistTurnsOverGenerations) {
   // A reopened second generation carries the full history.
   api::ShardedMonitor reopened = api::ShardedMonitor::Open(dir);
   EXPECT_EQ(reopened.position(), schedule.size());
+  RemoveTree(dir);
+}
+
+// Persist drains the ingress backlog and writes its files beside live
+// producers: 3 FeedAsync producers cycle through their part of a schedule
+// until a 4th thread has persisted five times. The producers pace
+// themselves (open loop, as a serving node is): closed-loop producers
+// starve the exclusive table lock, a known limit of the reader-preferring
+// shared mutex that this test is not about. Each reopened generation
+// must sit at a cut between the pushes acknowledged before that Persist()
+// began and the pushes started before it returned; after Flush() and a
+// final Persist() it holds every push.
+TEST(PersistOpenTest, PersistUnderLiveProducersIsAConsistentCut) {
+  const std::string dir = ScratchDir("persist-live");
+  constexpr int kProducers = 3;
+  constexpr int kPersists = 5;
+  const std::vector<KeyedFeed> schedule = MakeSchedule(3000, 41);
+  api::ShardedMonitor monitor = BuildMonitor(4);
+
+  struct Cut {
+    uint64_t acked_before = 0;
+    uint64_t started_before_return = 0;
+    uint64_t reopened = 0;
+  };
+  std::vector<Cut> cuts;
+  std::atomic<uint64_t> started{0};
+  std::atomic<uint64_t> acked{0};
+  std::atomic<bool> stop{false};
+  RunProducers(kProducers + 1, [&](int t) {
+    if (t == kProducers) {
+      // Stops the producers however this thread exits, a throw included.
+      struct StopOnExit {
+        std::atomic<bool>* stop;
+        ~StopOnExit() { stop->store(true); }
+      } stop_on_exit{&stop};
+      for (int n = 0; n < kPersists; ++n) {
+        Cut c;
+        c.acked_before = acked.load();
+        monitor.Persist(dir);
+        c.started_before_return = started.load();
+        c.reopened = api::ShardedMonitor::Open(dir).position();
+        cuts.push_back(c);
+      }
+      return;
+    }
+    for (size_t i = static_cast<size_t>(t); !stop.load();
+         i = (i + kProducers) % schedule.size()) {
+      started.fetch_add(1);
+      if (!monitor.FeedAsync(schedule[i].key, schedule[i].instance)) {
+        monitor.Feed(schedule[i].key, schedule[i].instance);
+      }
+      acked.fetch_add(1);
+      ::usleep(20);
+    }
+  });
+
+  ASSERT_EQ(cuts.size(), static_cast<size_t>(kPersists));
+  for (size_t i = 0; i < cuts.size(); ++i) {
+    SCOPED_TRACE("persist " + std::to_string(i));
+    EXPECT_LE(cuts[i].acked_before, cuts[i].reopened);
+    EXPECT_LE(cuts[i].reopened, cuts[i].started_before_return);
+  }
+  monitor.Flush();
+  monitor.Persist(dir);
+  EXPECT_EQ(api::ShardedMonitor::Open(dir).position(), acked.load());
+  RemoveTree(dir);
+}
+
+// Two threads persisting one monitor into one directory at once both
+// return, each commits its own generation, and the directory is left
+// holding exactly the live generation's files plus the manifest.
+TEST(PersistOpenTest, ConcurrentPersistsSerialize) {
+  const std::string dir = ScratchDir("persist-concurrent");
+  const std::vector<KeyedFeed> schedule = MakeSchedule(500, 43);
+  api::ShardedMonitor monitor = BuildMonitor(3);
+  for (const KeyedFeed& f : schedule) monitor.Feed(f.key, f.instance);
+  monitor.Persist(dir);
+  io::SnapshotStore store(dir);
+  const uint64_t before =
+      io::DecodeManifest(store.Read(io::kManifestName)).generation;
+
+  RunProducers(2, [&](int) { monitor.Persist(dir); });
+
+  const io::Manifest after = io::DecodeManifest(store.Read(io::kManifestName));
+  EXPECT_EQ(after.generation, before + 2);
+  std::vector<std::string> expected{io::kManifestName};
+  for (const io::Manifest::ShardFile& f : after.shards) {
+    expected.push_back(f.file);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(store.List(), expected);
+  EXPECT_EQ(api::ShardedMonitor::Open(dir).position(), schedule.size());
   RemoveTree(dir);
 }
 

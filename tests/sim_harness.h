@@ -297,6 +297,15 @@ class RecordingMonitor {
     history_->ops.push_back(std::move(op));
   }
 
+  /// The kPersist marker is appended after Persist() returns, yet it
+  /// still sits at the durable cut. Persist() captures the fleet in its
+  /// phase 2, under the exclusive table lock; phase 3 (encode, store
+  /// writes, manifest commit, GC) acquires no runtime lock, and releasing
+  /// a lock is not a schedule point — the sim yields only on acquire. So
+  /// no other task runs between the capture and this append: every op
+  /// recorded before the marker is in the persisted image, none after.
+  /// (Phase 1 drains under the shared table lock and does yield, but only
+  /// ops that the phase-2 cut then includes can run there.)
   void Persist(const std::string& directory) {
     live_->Persist(directory);
     SimOp op;
